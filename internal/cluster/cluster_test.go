@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,11 +60,10 @@ func startCluster(t *testing.T, n int, cfg PoolConfig) *testCluster {
 	for i := 0; i < n; i++ {
 		nk := &faultinject.NodeKill{}
 		w := NewWorker(WorkerConfig{
-			ID:              fmt.Sprintf("w%d", i),
-			Down:            nk.Down,
-			CountHook:       func(*CountRequest) error { return nk.CountHook() },
-			StreamCountHook: func(*StreamCountRequest) error { return nk.CountHook() },
-			TxHook:          nk.TxHook,
+			ID:        fmt.Sprintf("w%d", i),
+			Down:      nk.Down,
+			CountHook: func(*CountRequest) error { return nk.CountHook() },
+			TxHook:    nk.TxHook,
 		})
 		sh := &swappableHandler{}
 		sh.Set(w)
@@ -337,42 +338,62 @@ func TestWorkerRestartReseeds(t *testing.T) {
 }
 
 // TestDuplicateReplyMemo pins the idempotent-retry contract at the wire:
-// a duplicate delivery of a completed count is answered from the memo and
-// flagged, not recounted.
+// a duplicate delivery of a completed count is answered from the memo,
+// flagged, and otherwise identical, while another stamp is recounted — for
+// a job pass and for a stream delta count, where another side under the
+// same seq is a different logical request.
 func TestDuplicateReplyMemo(t *testing.T) {
 	tc := startCluster(t, 1, testPoolConfig())
 	d := testDataset(19)
-	coord, err := NewCoordinator("job-dup", d, tc.pool, nil)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
+	sh := shardDataset(d, 1, nil)[0]
 	w := tc.pool.Workers()[0]
-	sh := coord.shards[0]
 	ctx := context.Background()
 	if err := tc.pool.loadShard(ctx, w, &LoadShardRequest{
 		ShardID: sh.id, NumItems: sh.data.NumItems(), Baskets: string(sh.baskets),
 	}); err != nil {
 		t.Fatalf("loadShard: %v", err)
 	}
-	req := &CountRequest{JobID: "job-dup", Pass: 1, Kind: KindItems, ShardID: sh.id, NumItems: sh.data.NumItems()}
-	first, err := tc.pool.count(ctx, w, req)
-	if err != nil {
-		t.Fatalf("count: %v", err)
-	}
-	if first.Memoized {
-		t.Fatal("first delivery flagged as duplicate")
-	}
-	second, err := tc.pool.count(ctx, w, req)
-	if err != nil {
-		t.Fatalf("duplicate count: %v", err)
-	}
-	if !second.Memoized {
-		t.Fatal("duplicate delivery not served from the memo")
-	}
-	for i := range first.ItemCounts {
-		if first.ItemCounts[i] != second.ItemCounts[i] {
-			t.Fatalf("memoized reply diverges at item %d", i)
-		}
+	n := d.NumItems()
+	sets := testStreamSets(d)
+	for _, tt := range []struct {
+		name       string
+		req, other CountRequest
+	}{
+		{"job",
+			CountRequest{JobID: "job-dup", Pass: 1, Kind: KindItems, NumItems: n},
+			CountRequest{JobID: "job-dup", Pass: 2, Kind: KindItems, NumItems: n}},
+		{"stream",
+			CountRequest{JobID: "s-dup.b1.append", Pass: 1, Kind: KindSets, NumItems: n, Elems: sets},
+			CountRequest{JobID: "s-dup.b1.evict", Pass: 1, Kind: KindSets, NumItems: n, Elems: sets}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tt.req.ShardID, tt.other.ShardID = sh.id, sh.id
+			first, err := tc.pool.count(ctx, w, &tt.req)
+			if err != nil {
+				t.Fatalf("count: %v", err)
+			}
+			if first.Memoized {
+				t.Fatal("first delivery flagged as duplicate")
+			}
+			second, err := tc.pool.count(ctx, w, &tt.req)
+			if err != nil {
+				t.Fatalf("duplicate count: %v", err)
+			}
+			if !second.Memoized {
+				t.Fatal("duplicate delivery not served from the memo")
+			}
+			second.Memoized = false
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("memoized reply diverges: %+v vs %+v", second, first)
+			}
+			third, err := tc.pool.count(ctx, w, &tt.other)
+			if err != nil {
+				t.Fatalf("other-stamp count: %v", err)
+			}
+			if third.Memoized {
+				t.Fatal("a distinct stamp was answered from the memo")
+			}
+		})
 	}
 }
 
@@ -448,4 +469,51 @@ func asPartial(err error, pe **mfi.PartialResultError) bool {
 		*pe = p
 	}
 	return ok
+}
+
+// TestPoolReusesConnections pins the pool's connection reuse: two streams
+// fanning four shards each at one worker keep more RPCs in flight than the
+// default transport keeps idle connections, which redialled on every count.
+// The number of connections the worker accepts must not grow with the
+// number of counts.
+func TestPoolReusesConnections(t *testing.T) {
+	d := testDataset(31)
+	sets := testStreamSets(d)
+	newConns := func(rounds int) int64 {
+		var conns atomic.Int64
+		srv := httptest.NewUnstartedServer(NewWorker(WorkerConfig{ID: "w0"}))
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				conns.Add(1)
+			}
+		}
+		srv.Start()
+		defer srv.Close()
+		cfg := testPoolConfig()
+		cfg.ShardsPerWorker = 4
+		pool, err := NewPool([]string{srv.URL}, cfg)
+		if err != nil {
+			t.Fatalf("NewPool: %v", err)
+		}
+		pool.Start()
+		defer pool.Close()
+		streams := []*StreamCoordinator{NewStreamCoordinator("s1", pool, nil), NewStreamCoordinator("s2", pool, nil)}
+		for seq := int64(1); seq <= int64(rounds); seq++ {
+			var wg sync.WaitGroup
+			for _, sc := range streams {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sc.CountSets(seq, "append", d, sets)
+				}()
+			}
+			wg.Wait()
+		}
+		return conns.Load()
+	}
+	short, long := newConns(25), newConns(100)
+	t.Logf("new connections: %d over 50 counts, %d over 200", short, long)
+	if long > 2*short {
+		t.Fatalf("worker accepted %d connections over 200 counts but %d over 50: connections are not reused", long, short)
+	}
 }

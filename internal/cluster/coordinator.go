@@ -1,14 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
 	"math/rand"
-	"sync"
-	"time"
 
 	"pincer/internal/counting"
 	"pincer/internal/dataset"
@@ -46,46 +40,20 @@ type Doc struct {
 	DegradedPass   int    `json:"degraded_pass,omitempty"`
 }
 
-// shardState is one horizontal partition of the job's dataset.
-type shardState struct {
-	id      string // SHA-256 hex of baskets
-	baskets []byte
-	data    *dataset.Dataset
-	sc      *dataset.MemoryScanner // lazily built for local counting
-	owner   *workerRef             // nil = unassigned (counted locally)
-}
-
-// scanner returns the shard's local scanner, building it on first use so
-// remote-only runs never materialize local bitsets.
-func (s *shardState) scanner() *dataset.MemoryScanner {
-	if s.sc == nil {
-		s.sc = dataset.NewScanner(s.data)
-	}
-	return s.sc
-}
-
 // Coordinator implements core.PassCounter over a Pool: each pass fans the
 // candidate set out to the workers holding the dataset's shards and merges
 // their count vectors at the barrier. It also implements core's
 // ContextBinder and WorkerCounted optional interfaces.
 //
-// A coordinator is built per job and is driven from the mining goroutine;
-// its own fan-out goroutines never outlive a pass.
+// Its policy over the shared fan-out: degradation below quorum is sticky
+// for the job's life, dead owners' shards are reassigned at every pass
+// barrier, and cancellation raises the same typed abort as in-process
+// counters. A coordinator is built per job and is driven from the mining
+// goroutine; its own fan-out goroutines never outlive a pass.
 type Coordinator struct {
-	pool   *Pool
+	fanout
 	jobID  string
-	tracer obsv.Tracer
-
 	shards []*shardState
-
-	ctx        context.Context
-	checkEvery int
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	statMu sync.Mutex
-	stats  Doc
 }
 
 // NewCoordinator shards the dataset over the pool's workers and returns
@@ -95,54 +63,14 @@ type Coordinator struct {
 // every shard is also retained locally so any shard can be counted by the
 // coordinator when no worker can serve it.
 func NewCoordinator(jobID string, d *dataset.Dataset, pool *Pool, tracer obsv.Tracer) (*Coordinator, error) {
-	cfg := pool.Config()
-	workers := pool.Workers()
-	n := len(workers) * cfg.ShardsPerWorker
-	if n < 1 {
-		n = 1
-	}
-	parts := d.Partitions(n)
-	c := &Coordinator{
-		pool:   pool,
+	// An empty live set leaves the shards unowned: the first pass barrier
+	// reassigns them or degrades.
+	shards := shardDataset(d, len(pool.Workers())*pool.cfg.ShardsPerWorker, pool.Live())
+	return &Coordinator{
+		fanout: fanout{pool: pool, tracer: tracer, ctx: context.Background(), rng: rand.New(rand.NewSource(seedFrom(jobID)))},
 		jobID:  jobID,
-		tracer: tracer,
-		rng:    rand.New(rand.NewSource(seedFrom(jobID))),
-	}
-	for _, part := range parts {
-		var buf bytes.Buffer
-		if err := dataset.WriteBasket(&buf, part); err != nil {
-			return nil, fmt.Errorf("cluster: encode shard: %w", err)
-		}
-		c.shards = append(c.shards, &shardState{
-			id:      ShardID(part.NumItems(), buf.Bytes()),
-			baskets: buf.Bytes(),
-			data:    part,
-		})
-	}
-	c.stats.Workers = len(workers)
-	c.stats.Shards = len(c.shards)
-	// Initial assignment over the currently live set; a pass barrier
-	// redoes this for dead owners, so an empty live set here just means
-	// the first pass starts degraded or reassigns.
-	live := pool.Live()
-	if len(live) > 0 {
-		for i, sh := range c.shards {
-			sh.owner = live[i%len(live)]
-		}
-	}
-	return c, nil
-}
-
-// seedFrom derives a deterministic jitter seed from the job id.
-func seedFrom(jobID string) int64 {
-	sum := sha256.Sum256([]byte(jobID))
-	return int64(binary.LittleEndian.Uint64(sum[:8]) >> 1)
-}
-
-// BindContext implements core.ContextBinder.
-func (c *Coordinator) BindContext(ctx context.Context, checkEvery int) {
-	c.ctx = ctx
-	c.checkEvery = checkEvery
+		shards: shards,
+	}, nil
 }
 
 // Workers implements core.WorkerCounted: the counting fan-out width.
@@ -155,17 +83,29 @@ func (c *Coordinator) Workers() int {
 
 // Doc returns the run summary (safe to call after mining finished).
 func (c *Coordinator) Doc() *Doc {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	doc := c.stats
-	doc.LiveWorkers = len(c.pool.Live())
-	return &doc
+	c.mu.Lock()
+	t := c.tally
+	c.mu.Unlock()
+	return &Doc{
+		Workers:          len(c.pool.Workers()),
+		LiveWorkers:      len(c.pool.Live()),
+		Shards:           len(c.shards),
+		Passes:           int(t.counts),
+		RPCs:             t.rpcs,
+		Retries:          t.retries,
+		DuplicateReplies: t.duplicates,
+		WorkerDeaths:     t.deaths,
+		Reassignments:    t.reassignments,
+		LocalShardCounts: t.local,
+		Degraded:         t.degraded,
+		DegradedReason:   t.degradedReason,
+		DegradedPass:     t.degradedPass,
+	}
 }
 
 // CountItems implements core.PassCounter.
 func (c *Coordinator) CountItems(numItems int, elems []itemset.Itemset, elemBits []*itemset.Bitset) ([]int64, []int64) {
-	base := &CountRequest{Kind: KindItems, NumItems: numItems, Elems: elems}
-	resps := c.runPass(base)
+	resps := c.runPass(&CountRequest{Kind: KindItems, NumItems: numItems, Elems: elems})
 	itemCounts := make([]int64, numItems)
 	elemCounts := make([]int64, len(elems))
 	for _, r := range resps {
@@ -177,8 +117,7 @@ func (c *Coordinator) CountItems(numItems int, elems []itemset.Itemset, elemBits
 
 // CountPairs implements core.PassCounter.
 func (c *Coordinator) CountPairs(numItems int, live itemset.Itemset, elems []itemset.Itemset, elemBits []*itemset.Bitset) (*counting.Triangle, []int64) {
-	base := &CountRequest{Kind: KindPairs, NumItems: numItems, Live: live, Elems: elems}
-	resps := c.runPass(base)
+	resps := c.runPass(&CountRequest{Kind: KindPairs, NumItems: numItems, Live: live, Elems: elems})
 	tri := counting.NewTriangle(numItems, live)
 	elemCounts := make([]int64, len(elems))
 	for _, r := range resps {
@@ -190,15 +129,13 @@ func (c *Coordinator) CountPairs(numItems int, live itemset.Itemset, elems []ite
 
 // CountCandidates implements core.PassCounter.
 func (c *Coordinator) CountCandidates(engine counting.Engine, candidates []itemset.Itemset, elems []itemset.Itemset, elemBits []*itemset.Bitset) ([]int64, []int64) {
-	numItems := c.universe()
-	base := &CountRequest{
+	resps := c.runPass(&CountRequest{
 		Kind:       KindCandidates,
-		NumItems:   numItems,
+		NumItems:   c.shards[0].data.NumItems(),
 		Engine:     engine.String(),
 		Candidates: candidates,
 		Elems:      elems,
-	}
-	resps := c.runPass(base)
+	})
 	var candCounts []int64
 	if len(candidates) > 0 {
 		candCounts = make([]int64, len(candidates))
@@ -211,112 +148,37 @@ func (c *Coordinator) CountCandidates(engine counting.Engine, candidates []items
 	return candCounts, elemCounts
 }
 
-// universe returns the shared item universe of the shards.
-func (c *Coordinator) universe() int {
-	return c.shards[0].data.NumItems()
-}
-
-// expectedVec returns the expected response vector lengths for a request,
-// used to validate worker replies before merging.
-func expectedVec(req *CountRequest) (items, pairs, cands int) {
-	switch req.Kind {
-	case KindItems:
-		items = req.NumItems
-	case KindPairs:
-		n := len(req.Live)
-		pairs = n * (n - 1) / 2
-	case KindCandidates:
-		cands = len(req.Candidates)
-	}
-	return
-}
-
-// validResponse checks a worker reply is positionally mergeable.
-func validResponse(req *CountRequest, resp *CountResponse) error {
-	items, pairs, cands := expectedVec(req)
-	if len(resp.ItemCounts) != items {
-		return fmt.Errorf("item vector %d, want %d", len(resp.ItemCounts), items)
-	}
-	if len(resp.PairCounts) != pairs {
-		return fmt.Errorf("pair vector %d, want %d", len(resp.PairCounts), pairs)
-	}
-	if len(resp.CandCounts) != cands {
-		return fmt.Errorf("candidate vector %d, want %d", len(resp.CandCounts), cands)
-	}
-	if len(resp.ElemCounts) != len(req.Elems) {
-		return fmt.Errorf("elem vector %d, want %d", len(resp.ElemCounts), len(req.Elems))
-	}
-	return nil
-}
-
 // runPass executes one pass barrier: quorum check, shard reassignment away
-// from dead workers, fan-out with retry, and the join. It returns exactly
-// one response per shard — remote or, when a shard exhausts the live
-// workers, locally counted — so the merge is structurally immune to
+// from dead workers, the fan-out, and the join. It returns exactly one
+// response per shard — remote or, when a shard exhausts the live workers,
+// locally counted — so the merge is structurally immune to
 // double-counting. Cancellation unwinds with the same typed abort as
 // in-process counters, from the mining goroutine only.
-func (c *Coordinator) runPass(base *CountRequest) []*CountResponse {
-	c.statMu.Lock()
-	c.stats.Passes++
-	pass := c.stats.Passes
-	degraded := c.stats.Degraded
-	c.statMu.Unlock()
-	base.JobID = c.jobID
-	base.Pass = pass
+func (c *Coordinator) runPass(req *CountRequest) []*CountResponse {
+	c.note(func(t *tally) { t.counts++; req.Pass = int(t.counts) })
+	req.JobID = c.jobID
 
 	mfi.CheckContext(c.ctx)
-
-	if !degraded {
-		live := c.pool.Live()
-		if len(live) < c.pool.Config().Quorum {
-			c.degrade(pass, fmt.Sprintf("live workers %d below quorum %d", len(live), c.pool.Config().Quorum))
-			degraded = true
-		} else {
-			c.rebalance(pass, live)
-		}
-	}
-	if degraded {
-		return c.countAllLocal(base)
-	}
-
 	results := make([]*CountResponse, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		i, sh := i, sh
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = c.countShardRemote(base, sh)
-		}()
+	if live := c.fanWorkers(req); live != nil {
+		c.rebalance(req.Pass, live)
+		c.count(req, c.shards, results)
+		mfi.CheckContext(c.ctx)
 	}
-	wg.Wait()
-	mfi.CheckContext(c.ctx)
 
-	// A nil slot means the shard could not be counted remotely and the
-	// goroutine deferred local counting to the mining goroutine (so the
-	// scan guard may raise the typed abort from the right stack).
+	// A nil slot is counted here, on the mining goroutine, so the scan
+	// guard raises the typed abort from the right stack.
+	guard := mfi.NewScanGuard(c.ctx, c.checkEvery)
+	tick := func() error {
+		guard.Tick()
+		return nil
+	}
 	for i, sh := range c.shards {
 		if results[i] == nil {
-			results[i] = c.countLocal(base, sh, pass)
+			results[i] = c.countLocal(req, sh, tick)
 		}
 	}
 	return results
-}
-
-// degrade switches the job to local counting permanently, recording the
-// transition in stats, metrics, trace, and log.
-func (c *Coordinator) degrade(pass int, reason string) {
-	c.statMu.Lock()
-	c.stats.Degraded = true
-	c.stats.DegradedReason = reason
-	c.stats.DegradedPass = pass
-	c.statMu.Unlock()
-	if m := c.pool.met; m != nil {
-		m.degraded.Inc()
-	}
-	live := len(c.pool.Live())
-	c.pool.logf("cluster: job %s degrading to local counting at pass %d: %s", c.jobID, pass, reason)
-	obsv.EmitCluster(c.tracer, obsv.ClusterEvent{Event: "degraded", Pass: pass, Reason: reason, Live: live})
 }
 
 // rebalance reassigns shards owned by dead (or no) workers round-robin
@@ -333,224 +195,12 @@ func (c *Coordinator) rebalance(pass int, live []*workerRef) {
 		}
 		sh.owner = live[next%len(live)]
 		next++
-		c.statMu.Lock()
-		c.stats.Reassignments++
-		c.statMu.Unlock()
-		if m := c.pool.met; m != nil {
-			m.reassignments.Inc()
-		}
+		c.note(func(t *tally) { t.reassignments++ })
+		c.pool.met.reassignments.Inc()
 		c.pool.logf("cluster: job %s pass %d: shard %s reassigned %s -> %s", c.jobID, pass, sh.id[:12], from, sh.owner.addr)
 		obsv.EmitCluster(c.tracer, obsv.ClusterEvent{
 			Event: "reassign", Pass: pass, Worker: sh.owner.addr, Shard: sh.id[:12],
 			Reason: "owner dead", Live: len(live),
 		})
 	}
-}
-
-// countShardRemote drives one shard's count to completion against the
-// cluster: per-attempt timeouts, capped jittered exponential backoff,
-// worker-death declaration after the attempt budget, and failover to any
-// live worker not yet tried this pass. It returns nil when no live worker
-// could serve the shard (the caller counts locally) or when the run's
-// context was cancelled (the caller raises the abort).
-func (c *Coordinator) countShardRemote(base *CountRequest, sh *shardState) *CountResponse {
-	cfg := c.pool.Config()
-	req := *base
-	req.ShardID = sh.id
-	tried := map[*workerRef]bool{}
-	w := sh.owner
-	for {
-		if c.ctx != nil && c.ctx.Err() != nil {
-			return nil
-		}
-		if w == nil || !w.isAlive() || tried[w] {
-			w = c.pickWorker(tried)
-			if w == nil {
-				return nil // no live worker left for this shard
-			}
-		}
-		tried[w] = true
-		if resp := c.tryWorker(&req, sh, w); resp != nil {
-			sh.owner = w // next pass starts from the worker that delivered
-			return resp
-		}
-		// Attempt budget exhausted: the worker is dead to this job.
-		if c.pool.markDead(w, fmt.Sprintf("job %s pass %d: %d attempts failed", c.jobID, base.Pass, cfg.MaxAttempts)) {
-			c.statMu.Lock()
-			c.stats.WorkerDeaths++
-			c.statMu.Unlock()
-			obsv.EmitCluster(c.tracer, obsv.ClusterEvent{
-				Event: "worker_dead", Pass: base.Pass, Worker: w.addr, Shard: sh.id[:12],
-				Reason: "rpc attempts exhausted", Live: len(c.pool.Live()),
-			})
-		}
-		w = nil
-	}
-}
-
-// tryWorker runs the per-worker attempt loop for one shard count: ensure
-// the shard is pushed, then count, backing off between attempts. A nil
-// return means the budget is exhausted.
-func (c *Coordinator) tryWorker(req *CountRequest, sh *shardState, w *workerRef) *CountResponse {
-	cfg := c.pool.Config()
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.statMu.Lock()
-			c.stats.Retries++
-			c.statMu.Unlock()
-			if m := c.pool.met; m != nil {
-				m.rpcRetries.Inc()
-			}
-			if !c.backoff(attempt) {
-				return nil // cancelled while waiting
-			}
-		}
-		ctx, cancel := c.rpcContext()
-		if !w.hasShard(sh.id) {
-			c.addRPCs(1)
-			err := c.pool.loadShard(ctx, w, &LoadShardRequest{
-				ShardID:  sh.id,
-				NumItems: sh.data.NumItems(),
-				Baskets:  string(sh.baskets),
-			})
-			if err != nil {
-				cancel()
-				continue
-			}
-		}
-		c.addRPCs(1)
-		resp, err := c.pool.count(ctx, w, req)
-		cancel()
-		if err != nil {
-			var re *remoteError
-			if isRemoteReason(err, ReasonUnknownShard, &re) {
-				// The worker restarted since the push: re-push and retry
-				// without charging the attempt as a network failure.
-				w.setShard(sh.id, false)
-			}
-			continue
-		}
-		if verr := validResponse(req, resp); verr != nil {
-			c.pool.logf("cluster: job %s: worker %s returned unmergeable reply for shard %s: %v",
-				c.jobID, w.addr, sh.id[:12], verr)
-			continue
-		}
-		if resp.Memoized {
-			c.statMu.Lock()
-			c.stats.DuplicateReplies++
-			c.statMu.Unlock()
-			if m := c.pool.met; m != nil {
-				m.duplicateReplies.Inc()
-			}
-		}
-		return resp
-	}
-	return nil
-}
-
-// addRPCs accounts issued RPC attempts in the job's doc.
-func (c *Coordinator) addRPCs(n int64) {
-	c.statMu.Lock()
-	c.stats.RPCs += n
-	c.statMu.Unlock()
-}
-
-// isRemoteReason reports whether err is a remote wire error with the given
-// reason, storing it through re.
-func isRemoteReason(err error, reason string, re **remoteError) bool {
-	r, ok := err.(*remoteError)
-	if !ok {
-		return false
-	}
-	*re = r
-	return r.Reason == reason
-}
-
-// pickWorker returns a live worker not yet tried, or nil.
-func (c *Coordinator) pickWorker(tried map[*workerRef]bool) *workerRef {
-	for _, w := range c.pool.Live() {
-		if !tried[w] {
-			return w
-		}
-	}
-	return nil
-}
-
-// rpcContext derives the per-attempt timeout context.
-func (c *Coordinator) rpcContext() (context.Context, context.CancelFunc) {
-	parent := c.ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	return context.WithTimeout(parent, c.pool.Config().RPCTimeout)
-}
-
-// backoff sleeps the capped, jittered exponential backoff for the given
-// retry ordinal; false reports cancellation.
-func (c *Coordinator) backoff(attempt int) bool {
-	cfg := c.pool.Config()
-	d := cfg.BackoffBase << (attempt - 1)
-	if d > cfg.BackoffCap || d <= 0 {
-		d = cfg.BackoffCap
-	}
-	c.rngMu.Lock()
-	jitter := 0.5 + c.rng.Float64() // ×[0.5, 1.5)
-	c.rngMu.Unlock()
-	d = time.Duration(float64(d) * jitter)
-	if c.ctx == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-c.ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// countLocal counts one shard on the mining goroutine — the fallback when
-// no live worker can serve it. It uses the same pure procedure as the
-// workers, so the merged result is unchanged; the scan guard raises the
-// typed abort on cancellation exactly like in-process counters.
-func (c *Coordinator) countLocal(base *CountRequest, sh *shardState, pass int) *CountResponse {
-	guard := mfi.NewScanGuard(c.ctx, c.checkEvery)
-	req := *base
-	req.ShardID = sh.id
-	c.statMu.Lock()
-	c.stats.LocalShardCounts++
-	degraded := c.stats.Degraded
-	c.statMu.Unlock()
-	if m := c.pool.met; m != nil {
-		m.localCounts.Inc()
-	}
-	if !degraded {
-		c.pool.logf("cluster: job %s pass %d: counting shard %s locally (no live worker)", c.jobID, pass, sh.id[:12])
-		obsv.EmitCluster(c.tracer, obsv.ClusterEvent{
-			Event: "local_count", Pass: pass, Shard: sh.id[:12],
-			Reason: "no live worker", Live: len(c.pool.Live()),
-		})
-	}
-	resp, err := countShard(sh.scanner(), &req, func() error {
-		guard.Tick()
-		return nil
-	})
-	if err != nil {
-		// Unreachable: the local tick never returns an error (the guard
-		// panics the typed abort instead).
-		panic(mfi.NewAbort(err))
-	}
-	return resp
-}
-
-// countAllLocal counts every shard sequentially on the mining goroutine —
-// the degraded mode.
-func (c *Coordinator) countAllLocal(base *CountRequest) []*CountResponse {
-	out := make([]*CountResponse, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = c.countLocal(base, sh, base.Pass)
-	}
-	return out
 }

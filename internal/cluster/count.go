@@ -11,114 +11,83 @@ import (
 // trie over the elements is cheaper. The counts are identical either way.
 const directElemsMax = 16
 
-// countShard performs one pass's counting over one shard — the pure
-// procedure shared by the worker's count handler and the coordinator's
+// countShard performs one request's counting over one shard — the pure
+// procedure shared by the worker's count handler and the coordinators'
 // local fallback, so a shard counted locally after node loss contributes
 // exactly the bytes its worker would have. It mirrors core's sequential
 // PassCounter kind by kind; the scanner's universe must equal
 // req.NumItems so count vectors align positionally across shards.
 //
 // tick, when non-nil, is called once per scanned transaction; a non-nil
-// return aborts the scan (the fault-injection mid-scan kill). The
+// return aborts the scan (the fault-injection mid-scan kill). The job
 // coordinator's local path instead passes a tick that panics the typed
 // mining abort on cancellation, matching in-process counters.
 func countShard(sc *dataset.MemoryScanner, req *CountRequest, tick func() error) (*CountResponse, error) {
 	resp := &CountResponse{ShardID: req.ShardID, Pass: req.Pass, Transactions: sc.Len()}
-	var abort error
-	scan := func(fn func(tx itemset.Itemset, bits *itemset.Bitset)) bool {
-		sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-			if abort != nil {
-				return
-			}
-			if tick != nil {
-				if err := tick(); err != nil {
-					abort = err
-					return
-				}
-			}
-			fn(tx, bits)
-		})
-		return abort == nil
-	}
-
+	var add func(tx itemset.Itemset)
+	var finish func()
 	switch req.Kind {
 	case KindItems:
 		array := counting.NewItemArray(req.NumItems)
-		elemCounts := make([]int64, len(req.Elems))
-		elemBits := bitsetsOf(req.NumItems, req.Elems)
-		ok := scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-			array.Add(tx)
-			for i, eb := range elemBits {
-				if eb.IsSubsetOf(bits) {
-					elemCounts[i]++
-				}
-			}
-		})
-		if !ok {
-			return nil, abort
-		}
-		resp.ItemCounts = array.Counts()
-		resp.ElemCounts = elemCounts
-
+		add = array.Add
+		finish = func() { resp.ItemCounts = array.Counts() }
 	case KindPairs:
 		tri := counting.NewTriangle(req.NumItems, req.Live)
-		elemCounts := make([]int64, len(req.Elems))
-		elemBits := bitsetsOf(req.NumItems, req.Elems)
-		ok := scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-			tri.Add(tx)
-			for i, eb := range elemBits {
-				if eb.IsSubsetOf(bits) {
-					elemCounts[i]++
-				}
-			}
-		})
-		if !ok {
-			return nil, abort
-		}
-		_, _, resp.PairCounts = tri.Snapshot()
-		resp.ElemCounts = elemCounts
-
+		add = tri.Add
+		finish = func() { _, _, resp.PairCounts = tri.Snapshot() }
 	case KindCandidates:
-		var counter counting.Counter
 		if len(req.Candidates) > 0 {
-			counter = counting.NewCounter(parseEngine(req.Engine), req.Candidates)
+			counter := counting.NewCounter(parseEngine(req.Engine), req.Candidates)
+			add = counter.Add
+			finish = func() { resp.CandCounts = counter.Counts() }
 		}
-		var elemCounter counting.Counter
-		var elemCounts []int64
-		var elemBits []*itemset.Bitset
-		if len(req.Elems) > directElemsMax {
-			// MFCS elements form an antichain, so the trie handles the
-			// mixed lengths safely (same rationale as core).
-			elemCounter = counting.NewTrie(req.Elems)
-		} else {
-			elemCounts = make([]int64, len(req.Elems))
-			elemBits = bitsetsOf(req.NumItems, req.Elems)
-		}
-		ok := scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-			if counter != nil {
-				counter.Add(tx)
-			}
-			if elemCounter != nil {
-				elemCounter.Add(tx)
-			} else {
-				for i, eb := range elemBits {
-					if eb.IsSubsetOf(bits) {
-						elemCounts[i]++
-					}
-				}
-			}
-		})
-		if !ok {
-			return nil, abort
-		}
-		if elemCounter != nil {
-			elemCounts = elemCounter.Counts()
-		}
-		if counter != nil {
-			resp.CandCounts = counter.Counts()
-		}
-		resp.ElemCounts = elemCounts
 	}
+
+	// Elements are counted by direct subset tests, except for many MFCS
+	// elements on a candidates pass: those form an antichain, so the trie
+	// handles their mixed lengths safely (same rationale as core). KindSets
+	// promises no antichain, so it always tests directly.
+	var elemTrie counting.Counter
+	var elemBits []*itemset.Bitset
+	elemCounts := make([]int64, len(req.Elems))
+	if req.Kind == KindCandidates && len(req.Elems) > directElemsMax {
+		elemTrie = counting.NewTrie(req.Elems)
+	} else {
+		elemBits = bitsetsOf(req.NumItems, req.Elems)
+	}
+
+	var abort error
+	sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
+		if abort != nil {
+			return
+		}
+		if tick != nil {
+			if abort = tick(); abort != nil {
+				return
+			}
+		}
+		if add != nil {
+			add(tx)
+		}
+		if elemTrie != nil {
+			elemTrie.Add(tx)
+		}
+		for i, eb := range elemBits {
+			if eb.IsSubsetOf(bits) {
+				elemCounts[i]++
+			}
+		}
+	})
+	if abort != nil {
+		return nil, abort
+	}
+	if finish != nil {
+		finish()
+	}
+	if elemTrie != nil {
+		elemCounts = elemTrie.Counts()
+	}
+	resp.ElemCounts = elemCounts
 	return resp, nil
 }
 

@@ -4,7 +4,9 @@ package cluster_test
 // the contract is that a worker never panics, answers 200 only for a
 // well-formed, semantically valid message, and answers every rejection as a
 // typed JSON error document with a machine-readable reason — the same
-// contract FuzzJobRequest pins for the public server API.
+// contract FuzzJobRequest pins for the public server API. A count the
+// worker accepts, of any kind, must also be idempotent: a second delivery
+// is answered from the memo, flagged, and otherwise byte-identical.
 
 import (
 	"bytes"
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"pincer/internal/cluster"
@@ -45,25 +48,63 @@ func FuzzClusterMessage(f *testing.F) {
 	f.Add("/cluster/v1/count", []byte(`null`))
 	f.Add("/cluster/v1/count", []byte(`{"job_id":"j"} trailing`))
 	f.Add("/cluster/v1/other", []byte(`{}`))
+	// The sets kind (stream delta counts): a valid count, so the memo
+	// contract below runs for it too. Its rejection classes are the seeds
+	// of FuzzStreamClusterMessage.
+	f.Add("/cluster/v1/count", []byte(fmt.Sprintf(`{"job_id":"s.b1.append","pass":1,"kind":"sets","shard_id":%q,"num_items":8,"elems":[[2],[2,3],[1,2,3]]}`, id)))
 
 	w := cluster.NewWorker(cluster.WorkerConfig{ID: "fuzz", MaxBodyBytes: 1 << 20})
-
-	f.Fuzz(func(t *testing.T, path string, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "http://worker/"+sanitizePath(path), bytes.NewReader(body))
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "http://worker/"+strings.TrimLeft(path, "/"), bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		w.ServeHTTP(rec, req) // must not panic, whatever the bytes
-		if rec.Code == http.StatusOK {
+		return rec
+	}
+	// Pre-load the shard the count seeds reference, so they reach the
+	// counting path and, through it, the memo.
+	if rec := post("/cluster/v1/shards", []byte(fmt.Sprintf(`{"shard_id":%q,"num_items":8,"baskets":%q}`, id, shard))); rec.Code != http.StatusOK {
+		f.Fatalf("shard preload failed: %d %s", rec.Code, rec.Body.String())
+	}
+
+	f.Fuzz(func(t *testing.T, path string, body []byte) {
+		path = sanitizePath(path)
+		rec := post(path, body)
+		if rec.Code != http.StatusOK {
+			var e struct {
+				Error  string `json:"error"`
+				Reason string `json:"reason"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%d response is not the error JSON shape (%v): %q", rec.Code, err, rec.Body.String())
+			}
+			if e.Reason == "" {
+				t.Fatalf("%d response lacks typed reason: %q", rec.Code, rec.Body.String())
+			}
 			return
 		}
-		var e struct {
-			Error  string `json:"error"`
-			Reason string `json:"reason"`
+		if strings.TrimLeft(path, "/") != "cluster/v1/count" {
+			return
 		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-			t.Fatalf("%d response is not the error JSON shape (%v): %q", rec.Code, err, rec.Body.String())
+		rec2 := post(path, body)
+		if rec2.Code != http.StatusOK {
+			t.Fatalf("duplicate delivery rejected: %d %s", rec2.Code, rec2.Body.String())
 		}
-		if e.Reason == "" {
-			t.Fatalf("%d response lacks typed reason: %q", rec.Code, rec.Body.String())
+		var first, second cluster.CountResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &first); err != nil {
+			t.Fatalf("200 response is not a CountResponse (%v): %q", err, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec2.Body.Bytes(), &second); err != nil {
+			t.Fatalf("duplicate 200 is not a CountResponse (%v): %q", err, rec2.Body.String())
+		}
+		if !second.Memoized {
+			t.Fatalf("duplicate delivery was recounted, not memoized: %s", rec2.Body.String())
+		}
+		// An earlier input may already have memoized this count.
+		first.Memoized, second.Memoized = false, false
+		a, _ := json.Marshal(first)
+		b, _ := json.Marshal(second)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("memoized reply diverges:\n%s\nvs\n%s", a, b)
 		}
 	})
 }

@@ -74,6 +74,12 @@ func (c *PoolConfig) fill() {
 	}
 }
 
+// maxIdleConnsPerWorker is how many idle connections the pool keeps to
+// each worker. http.DefaultTransport keeps 2, but concurrent fan-outs keep
+// more RPCs in flight than that, so every pass closed and redialled the
+// rest and left their sockets in TIME_WAIT.
+const maxIdleConnsPerWorker = 64
+
 // clusterMetrics is the pincer_cluster_* metric set, registered on the
 // pool's registry (registration is idempotent, so pools may be rebuilt).
 type clusterMetrics struct {
@@ -93,9 +99,11 @@ type clusterMetrics struct {
 	degraded         *obsv.Counter
 }
 
+// newClusterMetrics registers the set on reg; without a registry the
+// metrics go to a private one nobody reads.
 func newClusterMetrics(reg *obsv.Registry) *clusterMetrics {
 	if reg == nil {
-		return nil
+		reg = obsv.NewRegistry()
 	}
 	return &clusterMetrics{
 		workersLive:      reg.Gauge("pincer_cluster_workers_live", "Workers currently passing heartbeats."),
@@ -111,7 +119,7 @@ func newClusterMetrics(reg *obsv.Registry) *clusterMetrics {
 		reassignments:    reg.Counter("pincer_cluster_reassignments_total", "Shards reassigned away from dead workers."),
 		duplicateReplies: reg.Counter("pincer_cluster_duplicate_replies_total", "Memoized (duplicate-delivery) count replies detected."),
 		localCounts:      reg.Counter("pincer_cluster_local_counts_total", "Shard passes counted locally by a coordinator."),
-		degraded:         reg.Counter("pincer_cluster_degraded_total", "Jobs degraded to fully local counting."),
+		degraded:         reg.Counter("pincer_cluster_degraded_total", "Jobs and stream batches degraded to fully local counting."),
 	}
 }
 
@@ -179,10 +187,12 @@ func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: pool needs at least one worker address")
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = maxIdleConnsPerWorker
 	p := &Pool{
 		cfg:    cfg,
 		met:    newClusterMetrics(cfg.Registry),
-		client: &http.Client{Timeout: cfg.RPCTimeout},
+		client: &http.Client{Timeout: cfg.RPCTimeout, Transport: transport},
 		stop:   make(chan struct{}),
 	}
 	seen := map[string]bool{}
@@ -204,9 +214,7 @@ func NewPool(addrs []string, cfg PoolConfig) (*Pool, error) {
 	if len(p.workers) == 0 {
 		return nil, errors.New("cluster: pool needs at least one worker address")
 	}
-	if p.met != nil {
-		p.met.workersKnown.Set(int64(len(p.workers)))
-	}
+	p.met.workersKnown.Set(int64(len(p.workers)))
 	return p, nil
 }
 
@@ -239,7 +247,7 @@ func (p *Pool) Start() {
 	}()
 }
 
-// Close stops the heartbeat loop.
+// Close stops the heartbeat loop and closes the idle worker connections.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if !p.stopped {
@@ -248,6 +256,7 @@ func (p *Pool) Close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
+	p.client.CloseIdleConnections()
 }
 
 // Workers returns every configured worker.
@@ -289,26 +298,20 @@ func (p *Pool) heartbeatRound() {
 			now := time.Now()
 			w.mu.Lock()
 			if err != nil {
-				if p.met != nil {
-					p.met.heartbeatMisses.Inc()
-				}
+				p.met.heartbeatMisses.Inc()
 				dead := w.alive && now.Sub(w.lastBeat) > p.cfg.LivenessDeadline
 				if dead {
 					w.alive = false
 				}
 				w.mu.Unlock()
 				if dead {
-					if p.met != nil {
-						p.met.workerDeaths.Inc()
-					}
+					p.met.workerDeaths.Inc()
 					p.logf("cluster: worker %s missed its liveness deadline; declared dead", w.addr)
 				}
 				p.updateLiveGauge()
 				return
 			}
-			if p.met != nil {
-				p.met.heartbeats.Inc()
-			}
+			p.met.heartbeats.Inc()
 			rejoin := w.everSeen && !w.alive
 			w.alive = true
 			w.everSeen = true
@@ -322,9 +325,7 @@ func (p *Pool) heartbeatRound() {
 			}
 			w.mu.Unlock()
 			if rejoin {
-				if p.met != nil {
-					p.met.workerRejoins.Inc()
-				}
+				p.met.workerRejoins.Inc()
 				p.logf("cluster: worker %s rejoined", w.addr)
 			}
 			p.updateLiveGauge()
@@ -334,9 +335,6 @@ func (p *Pool) heartbeatRound() {
 }
 
 func (p *Pool) updateLiveGauge() {
-	if p.met == nil {
-		return
-	}
 	var n int64
 	for _, w := range p.Workers() {
 		if w.isAlive() {
@@ -356,9 +354,7 @@ func (p *Pool) markDead(w *workerRef, reason string) bool {
 	w.alive = false
 	w.mu.Unlock()
 	if was {
-		if p.met != nil {
-			p.met.workerDeaths.Inc()
-		}
+		p.met.workerDeaths.Inc()
 		p.logf("cluster: worker %s declared dead (%s)", w.addr, reason)
 		p.updateLiveGauge()
 	}
@@ -378,11 +374,9 @@ func (e *remoteError) Error() string {
 
 // postJSON performs one JSON request/response RPC attempt.
 func (p *Pool) postJSON(ctx context.Context, w *workerRef, path string, body, out interface{}) error {
-	if p.met != nil {
-		p.met.rpcs.Inc()
-	}
+	p.met.rpcs.Inc()
 	err := p.doJSON(ctx, http.MethodPost, w.addr+path, body, out)
-	if err != nil && p.met != nil {
+	if err != nil {
 		p.met.rpcErrors.Inc()
 	}
 	return err
@@ -438,7 +432,7 @@ func (p *Pool) loadShard(ctx context.Context, w *workerRef, req *LoadShardReques
 	if err := p.postJSON(ctx, w, "/cluster/v1/shards", req, &resp); err != nil {
 		return err
 	}
-	if p.met != nil && !resp.Cached {
+	if !resp.Cached {
 		p.met.shardsPushed.Inc()
 	}
 	w.setShard(req.ShardID, true)

@@ -1,166 +1,34 @@
 package cluster
 
-// Distributed streams: the stream-side of the wire protocol plus the
-// StreamCoordinator that fans a maintainer's delta counting out over the
-// pool.
+// Distributed streams: the StreamCoordinator that fans a maintainer's
+// delta counting out over the pool.
 //
 // Incremental maintenance verifies each batch by counting the maintained
 // MFS and negative border over the append and evict deltas (and, after a
 // re-mine, the fresh border over the whole window). Those are plain
-// support counts, additive over disjoint horizontal partitions, so the
-// StreamCoordinator shards each delta with the same content-addressed
-// scheme as job counting, pushes the shards on demand, and merges the
-// per-shard count vectors — byte-identical to a single local scan.
+// support counts, additive over disjoint horizontal partitions — the same
+// work as one counting pass — so a delta count is an ordinary fan-out of a
+// KindSets CountRequest over content-addressed delta shards, merged
+// byte-identical to a single local scan.
 //
-// The failure model matches the job coordinator with one deliberate
-// difference: degradation below quorum is sticky per batch, not per
-// stream. A stream is long-lived, so giving up on the cluster forever
-// because one batch arrived during an outage would be wrong; instead the
-// server drains the per-batch doc (TakeDoc) after every append, which
-// re-arms the quorum check for the next batch.
+// The policy differs from the job coordinator's in two ways. Degradation
+// below quorum is sticky per batch, not per stream: a stream is long-lived,
+// so giving up on the cluster forever because one batch arrived during an
+// outage would be wrong; the server drains the per-batch doc (TakeDoc)
+// after every append, which re-arms the quorum check. And a cancelled delta
+// count does not abort: the shards not yet counted remotely are counted
+// locally, so CountSets always returns the exact vector.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"sync"
-	"time"
 
 	"pincer/internal/counting"
 	"pincer/internal/dataset"
 	"pincer/internal/itemset"
 	"pincer/internal/obsv"
 )
-
-// Stream delta sides: which part of a batch the counted sets are verified
-// against. "append" and "evict" are the two halves of the window delta;
-// "border" is the full-window recount of a freshly re-mined negative
-// border.
-const (
-	StreamSideAppend = "append"
-	StreamSideEvict  = "evict"
-	StreamSideBorder = "border"
-)
-
-// StreamCountRequest asks a worker to count a batch of maintained itemsets
-// over one delta shard. The (StreamID, Seq, Side, ShardID) stamp
-// identifies the logical request across retries, and workers key their
-// reply memo by the stamp plus a payload digest, exactly like job counts.
-// Sets carries one antichain (the maintained MFS or border) but the
-// protocol does not rely on that: workers count by per-transaction subset
-// tests, which are correct for any set list.
-type StreamCountRequest struct {
-	StreamID string `json:"stream_id"`
-	// Seq is the batch sequence number the delta belongs to.
-	Seq int64 `json:"seq"`
-	// Side is one of the StreamSide* constants.
-	Side string `json:"side"`
-	// ShardID names the delta shard to count over (must be loaded first).
-	ShardID string `json:"shard_id"`
-	// NumItems is the stream's item universe (must match the loaded shard).
-	NumItems int `json:"num_items"`
-	// Sets are the itemsets whose supports over the shard are wanted.
-	Sets []itemset.Itemset `json:"sets"`
-}
-
-// StreamCountResponse carries one shard's support vector, positionally
-// parallel to the request's Sets.
-type StreamCountResponse struct {
-	WorkerID     string `json:"worker_id"`
-	ShardID      string `json:"shard_id"`
-	Seq          int64  `json:"seq"`
-	Side         string `json:"side"`
-	Transactions int    `json:"transactions"`
-	// Memoized reports the reply was served from the worker's idempotency
-	// memo — a detected duplicate delivery.
-	Memoized  bool    `json:"memoized,omitempty"`
-	SetCounts []int64 `json:"set_counts"`
-}
-
-// DecodeStreamCount decodes and validates a stream delta-count request
-// (body capped at limit bytes): known side, plausible universe, at least
-// one set, and every set sorted, duplicate-free, and within the declared
-// universe.
-func DecodeStreamCount(r io.Reader, limit int64) (*StreamCountRequest, error) {
-	var req StreamCountRequest
-	if err := decodeStrict(r, limit, &req); err != nil {
-		return nil, err
-	}
-	if req.StreamID == "" {
-		return nil, wireErrf(400, ReasonBadMessage, "stream_id empty")
-	}
-	if req.Seq < 1 {
-		return nil, wireErrf(400, ReasonBadMessage, "seq %d below 1", req.Seq)
-	}
-	switch req.Side {
-	case StreamSideAppend, StreamSideEvict, StreamSideBorder:
-	default:
-		return nil, wireErrf(400, ReasonBadMessage, "unknown side %q", req.Side)
-	}
-	if err := validShardID(req.ShardID); err != nil {
-		return nil, err
-	}
-	if req.NumItems <= 0 || req.NumItems > maxWireUniverse {
-		return nil, wireErrf(400, ReasonBadMessage, "num_items %d outside [1, %d]", req.NumItems, maxWireUniverse)
-	}
-	if len(req.Sets) == 0 {
-		return nil, wireErrf(400, ReasonBadMessage, "sets empty (nothing to count)")
-	}
-	for i, s := range req.Sets {
-		if len(s) == 0 {
-			return nil, wireErrf(400, ReasonBadMessage, "sets[%d] empty", i)
-		}
-		if err := validSet(s, req.NumItems, fmt.Sprintf("sets[%d]", i)); err != nil {
-			return nil, err
-		}
-	}
-	return &req, nil
-}
-
-// countStreamShard counts each requested set over one shard — the pure
-// procedure shared by the worker's handler and the coordinator's local
-// fallback. Direct per-transaction bitset subset tests are used
-// unconditionally: unlike MFCS elements, the wire does not promise the
-// sets form an antichain (and delta shards are small), so the trie
-// shortcut is not safe to assume.
-func countStreamShard(sc *dataset.MemoryScanner, req *StreamCountRequest, tick func() error) (*StreamCountResponse, error) {
-	resp := &StreamCountResponse{ShardID: req.ShardID, Seq: req.Seq, Side: req.Side, Transactions: sc.Len()}
-	counts := make([]int64, len(req.Sets))
-	setBits := bitsetsOf(req.NumItems, req.Sets)
-	var abort error
-	sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-		if abort != nil {
-			return
-		}
-		if tick != nil {
-			if err := tick(); err != nil {
-				abort = err
-				return
-			}
-		}
-		for i, sb := range setBits {
-			if sb.IsSubsetOf(bits) {
-				counts[i]++
-			}
-		}
-	})
-	if abort != nil {
-		return nil, abort
-	}
-	resp.SetCounts = counts
-	return resp, nil
-}
-
-// streamCount performs one stream delta-count RPC attempt.
-func (p *Pool) streamCount(ctx context.Context, w *workerRef, req *StreamCountRequest) (*StreamCountResponse, error) {
-	var resp StreamCountResponse
-	if err := p.postJSON(ctx, w, "/cluster/v1/stream/count", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
 
 // StreamDoc summarizes one batch's distributed delta counting for the
 // stream's delta document — the per-batch analog of Doc. The server
@@ -185,7 +53,7 @@ type StreamDoc struct {
 	WorkerDeaths int64 `json:"worker_deaths,omitempty"`
 	Failovers    int64 `json:"failovers,omitempty"`
 	// LocalShardCounts is the number of shards the coordinator counted
-	// itself (orphaned shards and degraded batches).
+	// itself (orphaned shards, cancelled counts, and degraded batches).
 	LocalShardCounts int64 `json:"local_shard_counts,omitempty"`
 	// Degraded reports the batch fell below quorum and was counted
 	// locally. Unlike job degradation this is sticky per batch only: the
@@ -198,33 +66,23 @@ type StreamDoc struct {
 }
 
 // StreamCoordinator fans a stream's delta counting out over a Pool. One
-// StreamCoordinator serves a stream for its whole life; each append's
-// deltas are sharded, content-addressed, pushed on demand, and counted
-// with the job coordinator's failure model (per-attempt timeouts, capped
-// jittered backoff, death declaration on RPC exhaustion, failover to any
-// untried live worker, local fallback when none remains).
+// StreamCoordinator serves a stream for its whole life; each delta count
+// runs the job coordinator's fan-out and failure model. BindContext (in
+// core.ContextBinder's shape) bounds every later RPC and backoff by the
+// stream's context.
 //
 // CountSets is driven from the maintainer's apply path, which the server
 // serializes per stream; the fan-out goroutines never outlive a call.
 type StreamCoordinator struct {
-	pool     *Pool
+	fanout
 	streamID string
-	tracer   obsv.Tracer
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	mu  sync.Mutex
-	doc StreamDoc
 }
 
 // NewStreamCoordinator pins a stream to the pool.
 func NewStreamCoordinator(streamID string, pool *Pool, tracer obsv.Tracer) *StreamCoordinator {
 	return &StreamCoordinator{
-		pool:     pool,
+		fanout:   fanout{pool: pool, tracer: tracer, ctx: context.Background(), rng: rand.New(rand.NewSource(seedFrom(streamID)))},
 		streamID: streamID,
-		tracer:   tracer,
-		rng:      rand.New(rand.NewSource(seedFrom(streamID))),
 	}
 }
 
@@ -233,271 +91,56 @@ func NewStreamCoordinator(streamID string, pool *Pool, tracer obsv.Tracer) *Stre
 // quorum check after a degraded batch.
 func (c *StreamCoordinator) TakeDoc() *StreamDoc {
 	c.mu.Lock()
-	doc := c.doc
-	c.doc = StreamDoc{}
+	t := c.tally
+	c.tally = tally{}
 	c.mu.Unlock()
-	doc.Workers = len(c.pool.Workers())
-	doc.LiveWorkers = len(c.pool.Live())
-	return &doc
+	return &StreamDoc{
+		Workers:          len(c.pool.Workers()),
+		LiveWorkers:      len(c.pool.Live()),
+		Shards:           t.shards,
+		Counts:           t.counts,
+		RPCs:             t.rpcs,
+		Retries:          t.retries,
+		DuplicateReplies: t.duplicates,
+		WorkerDeaths:     t.deaths,
+		Failovers:        t.failovers,
+		LocalShardCounts: t.local,
+		Degraded:         t.degraded,
+		DegradedReason:   t.degradedReason,
+	}
 }
 
 // CountSets returns the support of each set over d, counted over the
-// cluster. Counts are additive over the contiguous shards, so the merged
-// vector is byte-identical to one local scan of d regardless of worker
-// count, failovers, or degradation.
+// cluster as one KindSets fan-out stamped <stream>.b<seq>.<side>. Counts
+// are additive over the contiguous shards, so the merged vector is
+// byte-identical to one local scan of d regardless of worker count,
+// failovers, degradation, or cancellation.
 func (c *StreamCoordinator) CountSets(seq int64, side string, d *dataset.Dataset, sets []itemset.Itemset) []int64 {
 	counts := make([]int64, len(sets))
 	if d == nil || d.Len() == 0 || len(sets) == 0 {
 		return counts
 	}
-	c.mu.Lock()
-	c.doc.Counts++
-	degraded := c.doc.Degraded
-	c.mu.Unlock()
-
-	cfg := c.pool.Config()
-	live := c.pool.Live()
-	if !degraded && len(live) < cfg.Quorum {
-		c.degrade(seq, fmt.Sprintf("live workers %d below quorum %d", len(live), cfg.Quorum))
-		degraded = true
-	}
-
-	n := 1
-	if !degraded {
-		n = len(live) * cfg.ShardsPerWorker
-	}
-	shards := c.shardDelta(d, n)
-	c.mu.Lock()
-	c.doc.Shards += int64(len(shards))
-	c.mu.Unlock()
-
-	base := &StreamCountRequest{
-		StreamID: c.streamID,
-		Seq:      seq,
-		Side:     side,
+	req := &CountRequest{
+		JobID:    fmt.Sprintf("%s.b%d.%s", c.streamID, seq, side),
+		Pass:     int(seq),
+		Kind:     KindSets,
 		NumItems: d.NumItems(),
-		Sets:     sets,
+		Elems:    sets,
 	}
-
-	if degraded {
-		for _, sh := range shards {
-			counting.SumInto(counts, c.localCount(base, sh, "degraded").SetCounts)
-		}
-		return counts
+	live := c.fanWorkers(req)
+	shards := shardDataset(d, len(live)*c.pool.cfg.ShardsPerWorker, live)
+	c.note(func(t *tally) { t.counts++; t.shards += int64(len(shards)) })
+	results := make([]*CountResponse, len(shards))
+	if live != nil {
+		c.count(req, shards, results)
 	}
-
-	for i, sh := range shards {
-		sh.owner = live[i%len(live)]
-	}
-	results := make([]*StreamCountResponse, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		i, sh := i, sh
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = c.countShardRemote(base, sh)
-		}()
-	}
-	wg.Wait()
+	// A shard no worker served — none was live, the batch is degraded, or
+	// the stream's context was cancelled — is counted here.
 	for i, sh := range shards {
 		if results[i] == nil {
-			results[i] = c.localCount(base, sh, "no live worker")
+			results[i] = c.countLocal(req, sh, nil)
 		}
-		counting.SumInto(counts, results[i].SetCounts)
+		counting.SumInto(counts, results[i].ElemCounts)
 	}
 	return counts
-}
-
-// shardDelta splits the delta into at most n contiguous content-addressed
-// shards.
-func (c *StreamCoordinator) shardDelta(d *dataset.Dataset, n int) []*shardState {
-	if n < 1 {
-		n = 1
-	}
-	parts := d.Partitions(n)
-	shards := make([]*shardState, 0, len(parts))
-	for _, part := range parts {
-		var buf bytes.Buffer
-		// bytes.Buffer writes cannot fail.
-		_ = dataset.WriteBasket(&buf, part)
-		shards = append(shards, &shardState{
-			id:      ShardID(part.NumItems(), buf.Bytes()),
-			baskets: buf.Bytes(),
-			data:    part,
-		})
-	}
-	return shards
-}
-
-// degrade switches this batch to local counting, recording the transition
-// in the per-batch doc, metrics, trace, and log.
-func (c *StreamCoordinator) degrade(seq int64, reason string) {
-	c.mu.Lock()
-	c.doc.Degraded = true
-	c.doc.DegradedReason = reason
-	c.mu.Unlock()
-	if m := c.pool.met; m != nil {
-		m.degraded.Inc()
-	}
-	c.pool.logf("cluster: stream %s seq %d: degrading batch to local delta counting: %s", c.streamID, seq, reason)
-	obsv.EmitCluster(c.tracer, obsv.ClusterEvent{
-		Event: "degraded", Pass: int(seq), Reason: reason, Live: len(c.pool.Live()),
-	})
-}
-
-// countShardRemote drives one delta shard's count to completion against
-// the cluster, failing over to untried live workers and declaring workers
-// dead on RPC exhaustion. A nil return means no live worker could serve
-// the shard; the caller counts it locally.
-func (c *StreamCoordinator) countShardRemote(base *StreamCountRequest, sh *shardState) *StreamCountResponse {
-	cfg := c.pool.Config()
-	req := *base
-	req.ShardID = sh.id
-	tried := map[*workerRef]bool{}
-	w := sh.owner
-	for {
-		if w == nil || !w.isAlive() || tried[w] {
-			w = c.pickWorker(tried)
-			if w == nil {
-				return nil
-			}
-		}
-		tried[w] = true
-		if resp := c.tryWorker(&req, sh, w); resp != nil {
-			return resp
-		}
-		if c.pool.markDead(w, fmt.Sprintf("stream %s seq %d: %d attempts failed", c.streamID, base.Seq, cfg.MaxAttempts)) {
-			c.mu.Lock()
-			c.doc.WorkerDeaths++
-			c.mu.Unlock()
-			obsv.EmitCluster(c.tracer, obsv.ClusterEvent{
-				Event: "worker_dead", Pass: int(base.Seq), Worker: w.addr, Shard: sh.id[:12],
-				Reason: "rpc attempts exhausted", Live: len(c.pool.Live()),
-			})
-		}
-		c.mu.Lock()
-		c.doc.Failovers++
-		c.mu.Unlock()
-		obsv.EmitCluster(c.tracer, obsv.ClusterEvent{
-			Event: "reassign", Pass: int(base.Seq), Shard: sh.id[:12],
-			Reason: "owner dead", Live: len(c.pool.Live()),
-		})
-		w = nil
-	}
-}
-
-// tryWorker runs the per-worker attempt loop for one delta shard: ensure
-// the shard is pushed, then count, backing off between attempts. A nil
-// return means the budget is exhausted.
-func (c *StreamCoordinator) tryWorker(req *StreamCountRequest, sh *shardState, w *workerRef) *StreamCountResponse {
-	cfg := c.pool.Config()
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.mu.Lock()
-			c.doc.Retries++
-			c.mu.Unlock()
-			if m := c.pool.met; m != nil {
-				m.rpcRetries.Inc()
-			}
-			c.backoff(attempt)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.RPCTimeout)
-		if !w.hasShard(sh.id) {
-			c.addRPCs(1)
-			err := c.pool.loadShard(ctx, w, &LoadShardRequest{
-				ShardID:  sh.id,
-				NumItems: sh.data.NumItems(),
-				Baskets:  string(sh.baskets),
-			})
-			if err != nil {
-				cancel()
-				continue
-			}
-		}
-		c.addRPCs(1)
-		resp, err := c.pool.streamCount(ctx, w, req)
-		cancel()
-		if err != nil {
-			var re *remoteError
-			if isRemoteReason(err, ReasonUnknownShard, &re) {
-				// The worker restarted since the push: re-push and retry
-				// without treating it as a network failure.
-				w.setShard(sh.id, false)
-			}
-			continue
-		}
-		if len(resp.SetCounts) != len(req.Sets) {
-			c.pool.logf("cluster: stream %s: worker %s returned unmergeable reply for shard %s: set vector %d, want %d",
-				c.streamID, w.addr, sh.id[:12], len(resp.SetCounts), len(req.Sets))
-			continue
-		}
-		if resp.Memoized {
-			c.mu.Lock()
-			c.doc.DuplicateReplies++
-			c.mu.Unlock()
-			if m := c.pool.met; m != nil {
-				m.duplicateReplies.Inc()
-			}
-		}
-		return resp
-	}
-	return nil
-}
-
-// localCount counts one delta shard on the calling goroutine — the
-// fallback when no live worker can serve it, and the whole of a degraded
-// batch. Same pure procedure as the workers, so the merged vector is
-// unchanged.
-func (c *StreamCoordinator) localCount(base *StreamCountRequest, sh *shardState, reason string) *StreamCountResponse {
-	req := *base
-	req.ShardID = sh.id
-	c.mu.Lock()
-	c.doc.LocalShardCounts++
-	degraded := c.doc.Degraded
-	c.mu.Unlock()
-	if m := c.pool.met; m != nil {
-		m.localCounts.Inc()
-	}
-	if !degraded {
-		c.pool.logf("cluster: stream %s seq %d: counting delta shard %s locally (%s)", c.streamID, base.Seq, sh.id[:12], reason)
-		obsv.EmitCluster(c.tracer, obsv.ClusterEvent{
-			Event: "local_count", Pass: int(base.Seq), Shard: sh.id[:12],
-			Reason: reason, Live: len(c.pool.Live()),
-		})
-	}
-	// The nil tick never aborts the scan, so the error path is unreachable.
-	resp, _ := countStreamShard(sh.scanner(), &req, nil)
-	return resp
-}
-
-// addRPCs accounts issued RPC attempts in the per-batch doc.
-func (c *StreamCoordinator) addRPCs(n int64) {
-	c.mu.Lock()
-	c.doc.RPCs += n
-	c.mu.Unlock()
-}
-
-// pickWorker returns a live worker not yet tried, or nil.
-func (c *StreamCoordinator) pickWorker(tried map[*workerRef]bool) *workerRef {
-	for _, w := range c.pool.Live() {
-		if !tried[w] {
-			return w
-		}
-	}
-	return nil
-}
-
-// backoff sleeps the capped, jittered exponential backoff for the given
-// retry ordinal.
-func (c *StreamCoordinator) backoff(attempt int) {
-	cfg := c.pool.Config()
-	d := cfg.BackoffBase << (attempt - 1)
-	if d > cfg.BackoffCap || d <= 0 {
-		d = cfg.BackoffCap
-	}
-	c.rngMu.Lock()
-	jitter := 0.5 + c.rng.Float64() // ×[0.5, 1.5)
-	c.rngMu.Unlock()
-	time.Sleep(time.Duration(float64(d) * jitter))
 }

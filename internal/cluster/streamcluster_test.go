@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -73,7 +74,7 @@ func TestStreamClusterCountMatchesLocal(t *testing.T) {
 				d := testDataset(seed)
 				sets := testStreamSets(d)
 				want := refStreamCounts(d, sets)
-				got := sc.CountSets(seed, StreamSideAppend, d, sets)
+				got := sc.CountSets(seed, "append", d, sets)
 				assertSameCounts(t, fmt.Sprintf("seed%d", seed), got, want)
 				doc := sc.TakeDoc()
 				if doc.Degraded {
@@ -92,11 +93,11 @@ func TestStreamClusterCountMatchesLocal(t *testing.T) {
 func TestStreamClusterEmptyDelta(t *testing.T) {
 	tc := startCluster(t, 1, testPoolConfig())
 	sc := NewStreamCoordinator("s-empty", tc.pool, nil)
-	if got := sc.CountSets(1, StreamSideEvict, nil, []itemset.Itemset{{0}}); got[0] != 0 {
+	if got := sc.CountSets(1, "evict", nil, []itemset.Itemset{{0}}); got[0] != 0 {
 		t.Fatalf("nil dataset counted %d, want 0", got[0])
 	}
 	d := testDataset(1)
-	if got := sc.CountSets(1, StreamSideAppend, d, nil); len(got) != 0 {
+	if got := sc.CountSets(1, "append", d, nil); len(got) != 0 {
 		t.Fatalf("empty set list returned %d counts", len(got))
 	}
 	if doc := sc.TakeDoc(); doc.RPCs != 0 {
@@ -128,7 +129,7 @@ func TestStreamClusterNodeLoss(t *testing.T) {
 					nk.AfterTx = afterTx
 					col := obsv.NewCollector()
 					sc := NewStreamCoordinator("s-loss", tc.pool, col)
-					got := sc.CountSets(1, StreamSideAppend, d, sets)
+					got := sc.CountSets(1, "append", d, sets)
 					assertSameCounts(t, fmt.Sprintf("trip%d", trip), got, want)
 					doc := sc.TakeDoc()
 					if doc.Degraded {
@@ -170,7 +171,7 @@ func TestStreamClusterDegradationRearms(t *testing.T) {
 	sc := NewStreamCoordinator("s-degrade", tc.pool, col)
 
 	// Batch 1: healthy.
-	assertSameCounts(t, "healthy", sc.CountSets(1, StreamSideAppend, d, sets), want)
+	assertSameCounts(t, "healthy", sc.CountSets(1, "append", d, sets), want)
 	if doc := sc.TakeDoc(); doc.Degraded {
 		t.Fatalf("healthy batch degraded: %+v", doc)
 	}
@@ -186,7 +187,7 @@ func TestStreamClusterDegradationRearms(t *testing.T) {
 	}
 
 	// Batch 2: below quorum — counted locally, byte-identical, recorded.
-	assertSameCounts(t, "degraded", sc.CountSets(2, StreamSideAppend, d, sets), want)
+	assertSameCounts(t, "degraded", sc.CountSets(2, "append", d, sets), want)
 	doc := sc.TakeDoc()
 	if !doc.Degraded || doc.DegradedReason == "" {
 		t.Fatalf("below-quorum batch not recorded as degraded: %+v", doc)
@@ -218,7 +219,7 @@ func TestStreamClusterDegradationRearms(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	assertSameCounts(t, "recovered", sc.CountSets(3, StreamSideAppend, d, sets), want)
+	assertSameCounts(t, "recovered", sc.CountSets(3, "append", d, sets), want)
 	doc = sc.TakeDoc()
 	if doc.Degraded {
 		t.Fatalf("recovered batch still degraded: %+v", doc)
@@ -228,62 +229,66 @@ func TestStreamClusterDegradationRearms(t *testing.T) {
 	}
 }
 
-// TestStreamClusterDuplicateReplyMemo pins wire idempotency: a duplicate
-// delivery of a completed delta count is answered from the worker's memo,
-// flagged, and byte-identical.
-func TestStreamClusterDuplicateReplyMemo(t *testing.T) {
-	tc := startCluster(t, 1, testPoolConfig())
-	d := testDataset(19)
-	sc := NewStreamCoordinator("s-dup", tc.pool, nil)
-	shards := sc.shardDelta(d, 1)
-	sh := shards[0]
-	w := tc.pool.Workers()[0]
-	ctx := context.Background()
-	if err := tc.pool.loadShard(ctx, w, &LoadShardRequest{
-		ShardID: sh.id, NumItems: sh.data.NumItems(), Baskets: string(sh.baskets),
-	}); err != nil {
-		t.Fatalf("loadShard: %v", err)
-	}
-	req := &StreamCountRequest{
-		StreamID: "s-dup", Seq: 1, Side: StreamSideAppend, ShardID: sh.id,
-		NumItems: sh.data.NumItems(), Sets: testStreamSets(d),
-	}
-	first, err := tc.pool.streamCount(ctx, w, req)
-	if err != nil {
-		t.Fatalf("streamCount: %v", err)
-	}
-	if first.Memoized {
-		t.Fatal("first delivery flagged as duplicate")
-	}
-	second, err := tc.pool.streamCount(ctx, w, req)
-	if err != nil {
-		t.Fatalf("duplicate streamCount: %v", err)
-	}
-	if !second.Memoized {
-		t.Fatal("duplicate delivery not served from the memo")
-	}
-	assertSameCounts(t, "memo", second.SetCounts, first.SetCounts)
+// TestStreamClusterCancelFinishesLocally pins the stream side of the
+// cancellation contract: cancelling the bound context while every shard
+// waits out a backoff, or while the count RPCs hang, returns CountSets far
+// inside one RPCTimeout with the exact vector — the shards not counted
+// remotely are counted locally — and declares no worker dead.
+func TestStreamClusterCancelFinishesLocally(t *testing.T) {
+	d := testDataset(29)
+	sets := testStreamSets(d)
+	want := refStreamCounts(d, sets)
+	for _, tt := range []struct {
+		name    string
+		backoff time.Duration
+		hook    func(release <-chan struct{}) error
+	}{
+		{"mid-backoff", 5 * time.Second, func(<-chan struct{}) error { return errors.New("count refused") }},
+		{"mid-rpc", time.Millisecond, func(release <-chan struct{}) error { <-release; return nil }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := testPoolConfig()
+			cfg.RPCTimeout = 5 * time.Second
+			cfg.BackoffBase, cfg.BackoffCap = tt.backoff, tt.backoff
+			tc := startCluster(t, 1, cfg)
+			release := make(chan struct{})
+			defer close(release) // before the cleanup closes the servers
+			tc.handlers[0].Set(NewWorker(WorkerConfig{
+				ID:        "w0",
+				CountHook: func(*CountRequest) error { return tt.hook(release) },
+			}))
 
-	// A different side under the same stamp is a different logical request:
-	// it must be recounted, not memo-answered.
-	req2 := *req
-	req2.Side = StreamSideEvict
-	third, err := tc.pool.streamCount(ctx, w, &req2)
-	if err != nil {
-		t.Fatalf("other-side streamCount: %v", err)
-	}
-	if third.Memoized {
-		t.Fatal("distinct side answered from the memo")
+			sc := NewStreamCoordinator("s-cancel", tc.pool, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sc.BindContext(ctx, 0)
+			time.AfterFunc(100*time.Millisecond, cancel)
+			start := time.Now()
+			got := sc.CountSets(1, "append", d, sets)
+			if elapsed := time.Since(start); elapsed >= time.Second {
+				t.Fatalf("cancelled CountSets returned after %v, want < 1s", elapsed)
+			}
+			assertSameCounts(t, tt.name, got, want)
+			if doc := sc.TakeDoc(); doc.LocalShardCounts == 0 || doc.WorkerDeaths != 0 {
+				t.Fatalf("cancelled count: %+v, want local shard counts and no deaths", doc)
+			}
+			if n := len(tc.pool.Live()); n != 1 {
+				t.Fatalf("cancellation left %d live workers, want 1", n)
+			}
+		})
 	}
 }
 
-// TestStreamClusterDecodeValidation is the table test over the new wire
-// message: every malformed request is rejected with a typed 400, never a
-// panic.
+// TestStreamClusterDecodeValidation pins the wire rejections of the sets
+// kind a stream delta count rides on: a malformed message must be refused
+// at decode, before it reaches a shard.
 func TestStreamClusterDecodeValidation(t *testing.T) {
 	shard := strings.Repeat("ab", 32)
-	ok := fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[[0,2]]}`, shard)
-	if _, err := DecodeStreamCount(strings.NewReader(ok), 1<<20); err != nil {
+	sets := func(numItems int, elems, extra string) string {
+		return fmt.Sprintf(`{"job_id":"s1.b1.append","pass":1,"kind":"sets","shard_id":"%s","num_items":%d,"elems":%s%s}`,
+			shard, numItems, elems, extra)
+	}
+	if _, err := DecodeCount(strings.NewReader(sets(4, `[[0,2]]`, ``)), 1<<20); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
 	cases := []struct {
@@ -291,22 +296,22 @@ func TestStreamClusterDecodeValidation(t *testing.T) {
 	}{
 		{"empty", ``},
 		{"not-json", `{`},
-		{"unknown-field", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[[0]],"bogus":1}`, shard)},
-		{"no-stream", fmt.Sprintf(`{"seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[[0]]}`, shard)},
-		{"zero-seq", fmt.Sprintf(`{"stream_id":"s1","seq":0,"side":"append","shard_id":"%s","num_items":4,"sets":[[0]]}`, shard)},
-		{"bad-side", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"sideways","shard_id":"%s","num_items":4,"sets":[[0]]}`, shard)},
-		{"bad-shard", `{"stream_id":"s1","seq":1,"side":"append","shard_id":"zz","num_items":4,"sets":[[0]]}`},
-		{"zero-universe", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":0,"sets":[[0]]}`, shard)},
-		{"huge-universe", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":9999999,"sets":[[0]]}`, shard)},
-		{"no-sets", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[]}`, shard)},
-		{"empty-set", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[[]]}`, shard)},
-		{"unsorted-set", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[[2,0]]}`, shard)},
-		{"dup-item", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[[1,1]]}`, shard)},
-		{"out-of-universe", fmt.Sprintf(`{"stream_id":"s1","seq":1,"side":"append","shard_id":"%s","num_items":4,"sets":[[7]]}`, shard)},
+		{"unknown-field", sets(4, `[[0]]`, `,"bogus":1`)},
+		{"bad-shard", `{"job_id":"s1.b1.append","pass":1,"kind":"sets","shard_id":"zz","num_items":4,"elems":[[0]]}`},
+		{"zero-universe", sets(0, `[[0]]`, ``)},
+		{"huge-universe", sets(9999999, `[[0]]`, ``)},
+		{"no-sets", sets(4, `[]`, ``)},
+		{"empty-set", sets(4, `[[]]`, ``)},
+		{"unsorted-set", sets(4, `[[2,0]]`, ``)},
+		{"dup-item", sets(4, `[[1,1]]`, ``)},
+		{"out-of-universe", sets(4, `[[7]]`, ``)},
+		{"live", sets(4, `[[0]]`, `,"live":[0]`)},
+		{"candidates", sets(4, `[[0]]`, `,"candidates":[[0]]`)},
+		{"engine", sets(4, `[[0]]`, `,"engine":"trie"`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeStreamCount(strings.NewReader(tc.body), 1<<20); err == nil {
+			if _, err := DecodeCount(strings.NewReader(tc.body), 1<<20); err == nil {
 				t.Fatalf("malformed request %q accepted", tc.body)
 			}
 		})

@@ -19,7 +19,9 @@
 // can serve is counted locally by the coordinator with the same counting
 // procedure, and when the cluster drops below a configured quorum the
 // coordinator degrades to local counting entirely and still finishes the
-// job, recording the degradation instead of failing.
+// job, recording the degradation instead of failing. A StreamCoordinator
+// runs an incremental stream's delta counts through the same fan-out, as
+// count requests of kind "sets".
 //
 // Everything speaks HTTP/JSON over the standard library.
 package cluster
@@ -75,11 +77,13 @@ const (
 	ReasonDown = "down"
 )
 
-// Count request kinds, one per pass shape of the PassCounter seam.
+// Count request kinds, one per pass shape of the PassCounter seam plus the
+// stream delta count.
 const (
 	KindItems      = "items"      // pass 1: per-item array
 	KindPairs      = "pairs"      // pass 2: triangular pair matrix
 	KindCandidates = "candidates" // pass ≥ 3: candidate engine
+	KindSets       = "sets"       // stream delta: Elems alone, by direct subset tests
 )
 
 // maxWireUniverse bounds the item universe a message may declare, so a
@@ -132,10 +136,12 @@ type LoadShardResponse struct {
 
 // CountRequest asks a worker to perform one pass's counting over one
 // shard. The (JobID, Pass, Kind, ShardID) stamp identifies the logical
-// request across retries: a correct coordinator never issues two different
-// payloads under one stamp, and workers additionally key their reply memo
-// by a digest of the full payload, so a duplicate delivery is answered
-// idempotently.
+// request across retries; workers key their reply memo by the stamp plus a
+// digest of the full payload, so a duplicate delivery is answered
+// idempotently while a different payload under one stamp — a stream batch
+// counts its MFS and its border over the same delta side — is counted
+// afresh. Stream delta counts are stamped <stream>.b<seq>.<side> with the
+// batch seq as Pass.
 type CountRequest struct {
 	JobID string `json:"job_id"`
 	Pass  int    `json:"pass"`
@@ -150,15 +156,17 @@ type CountRequest struct {
 	Engine string `json:"engine,omitempty"`
 	// Candidates are the bottom-up candidates for KindCandidates.
 	Candidates []itemset.Itemset `json:"candidates,omitempty"`
-	// Elems are MFCS elements piggybacked on any kind of pass.
+	// Elems are MFCS elements piggybacked on any kind of pass; for
+	// KindSets they are the whole request, and may be any set list, not
+	// only an antichain.
 	Elems []itemset.Itemset `json:"elems,omitempty"`
 }
 
 // CountResponse carries one shard's count vectors, positionally parallel
-// to the request's inputs. Exactly one of ItemCounts / PairCounts /
-// CandCounts is populated according to the request kind (CandCounts may be
-// empty when the candidate list was empty); ElemCounts is parallel to
-// Elems.
+// to the request's inputs. At most one of ItemCounts / PairCounts /
+// CandCounts is populated according to the request kind (none for
+// KindSets; CandCounts may be empty when the candidate list was empty);
+// ElemCounts is parallel to Elems.
 type CountResponse struct {
 	WorkerID     string `json:"worker_id"`
 	ShardID      string `json:"shard_id"`
@@ -237,6 +245,10 @@ func DecodeCount(r io.Reader, limit int64) (*CountRequest, error) {
 	}
 	switch req.Kind {
 	case KindItems, KindPairs, KindCandidates:
+	case KindSets:
+		if len(req.Elems) == 0 {
+			return nil, wireErrf(400, ReasonBadMessage, "elems empty (nothing to count)")
+		}
 	default:
 		return nil, wireErrf(400, ReasonBadMessage, "unknown kind %q", req.Kind)
 	}

@@ -36,12 +36,10 @@ type WorkerConfig struct {
 	// Down, when set and returning true, fails every request with 503
 	// reason "down" — an administratively killed node.
 	Down func() bool
-	// CountHook, when set, runs before each count; a non-nil error fails
-	// the request with 500 reason "injected" (a pass-barrier kill).
+	// CountHook, when set, runs before each count — job passes and stream
+	// delta counts alike; a non-nil error fails the request with 500
+	// reason "injected" (a pass- or batch-barrier kill).
 	CountHook func(req *CountRequest) error
-	// StreamCountHook is CountHook's analog for stream delta counts (a
-	// batch-barrier kill).
-	StreamCountHook func(req *StreamCountRequest) error
 	// TxHook, when set, runs once per scanned transaction; a non-nil
 	// error aborts the scan and fails the request with 500 reason
 	// "injected" (a mid-scan kill).
@@ -67,10 +65,6 @@ type Worker struct {
 	shardOrder []string // least recently counted first
 	memo       map[string]*CountResponse
 	memoOrder  []string
-	// streamMemo is the idempotent-reply memo of the stream delta-count
-	// route, bounded by the same MemoSize independently of memo.
-	streamMemo      map[string]*StreamCountResponse
-	streamMemoOrder []string
 
 	served atomic.Int64
 }
@@ -87,10 +81,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.MemoSize = 64
 	}
 	return &Worker{
-		cfg:        cfg,
-		shards:     map[string]*workerShard{},
-		memo:       map[string]*CountResponse{},
-		streamMemo: map[string]*StreamCountResponse{},
+		cfg:    cfg,
+		shards: map[string]*workerShard{},
+		memo:   map[string]*CountResponse{},
 	}
 }
 
@@ -127,8 +120,6 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		w.handleLoadShard(rw, r)
 	case r.Method == http.MethodPost && r.URL.Path == "/cluster/v1/count":
 		w.handleCount(rw, r)
-	case r.Method == http.MethodPost && r.URL.Path == "/cluster/v1/stream/count":
-		w.handleStreamCount(rw, r)
 	default:
 		writeWireError(rw, wireErrf(http.StatusNotFound, ReasonBadRoute, "no route %s %s", r.Method, r.URL.Path))
 	}
@@ -267,72 +258,6 @@ func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
 	writeWireJSON(rw, http.StatusOK, resp)
 }
 
-// handleStreamCount serves one stream delta count — handleCount's analog
-// for the maintainer's MFS∪border verification counts, with the same
-// idempotency memo and fault seams.
-func (w *Worker) handleStreamCount(rw http.ResponseWriter, r *http.Request) {
-	req, err := DecodeStreamCount(r.Body, w.cfg.MaxBodyBytes)
-	if err != nil {
-		writeWireError(rw, err)
-		return
-	}
-
-	key := streamMemoKey(req)
-	w.mu.Lock()
-	if resp, ok := w.streamMemo[key]; ok {
-		id := w.id()
-		w.mu.Unlock()
-		dup := *resp
-		dup.WorkerID = id
-		dup.Memoized = true
-		w.served.Add(1)
-		writeWireJSON(rw, http.StatusOK, &dup)
-		return
-	}
-	sh, ok := w.shards[req.ShardID]
-	if ok {
-		w.touchShard(req.ShardID)
-	}
-	id := w.id()
-	w.mu.Unlock()
-	if !ok {
-		writeWireError(rw, wireErrf(http.StatusNotFound, ReasonUnknownShard, "shard %s not loaded", req.ShardID[:12]))
-		return
-	}
-	if sh.sc.NumItems() != req.NumItems {
-		writeWireError(rw, wireErrf(http.StatusBadRequest, ReasonBadMessage,
-			"request universe %d does not match shard universe %d", req.NumItems, sh.sc.NumItems()))
-		return
-	}
-	if w.cfg.StreamCountHook != nil {
-		if herr := w.cfg.StreamCountHook(req); herr != nil {
-			writeWireError(rw, wireErrf(http.StatusInternalServerError, ReasonInjected, "%v", herr))
-			return
-		}
-	}
-
-	resp, cerr := countStreamShard(sh.sc, req, w.cfg.TxHook)
-	if cerr != nil {
-		writeWireError(rw, wireErrf(http.StatusInternalServerError, ReasonInjected, "%v", cerr))
-		return
-	}
-	resp.WorkerID = id
-
-	w.mu.Lock()
-	if _, ok := w.streamMemo[key]; !ok {
-		w.streamMemo[key] = resp
-		w.streamMemoOrder = append(w.streamMemoOrder, key)
-		for len(w.streamMemo) > w.cfg.MemoSize {
-			evict := w.streamMemoOrder[0]
-			w.streamMemoOrder = w.streamMemoOrder[1:]
-			delete(w.streamMemo, evict)
-		}
-	}
-	w.mu.Unlock()
-	w.served.Add(1)
-	writeWireJSON(rw, http.StatusOK, resp)
-}
-
 // touchShard moves a shard to the recently-used end (caller holds mu).
 func (w *Worker) touchShard(id string) {
 	for i, s := range w.shardOrder {
@@ -351,14 +276,6 @@ func memoKey(req *CountRequest) string {
 	b, _ := json.Marshal(req) // struct marshal cannot fail
 	sum := sha256.Sum256(b)
 	return fmt.Sprintf("%s|%d|%s|%s|%x", req.JobID, req.Pass, req.Kind, req.ShardID[:16], sum[:8])
-}
-
-// streamMemoKey is the idempotency key of a stream delta count: the batch
-// stamp plus a digest of the full payload.
-func streamMemoKey(req *StreamCountRequest) string {
-	b, _ := json.Marshal(req) // struct marshal cannot fail
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("%s|%d|%s|%s|%x", req.StreamID, req.Seq, req.Side, req.ShardID[:16], sum[:8])
 }
 
 func writeWireJSON(rw http.ResponseWriter, status int, v interface{}) {

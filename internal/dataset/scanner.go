@@ -1,6 +1,10 @@
 package dataset
 
-import "pincer/internal/itemset"
+import (
+	"sync/atomic"
+
+	"pincer/internal/itemset"
+)
 
 // Scanner abstracts "reading the database once". Mining algorithms receive a
 // Scanner rather than a *Dataset so that every pass over the data is
@@ -23,11 +27,12 @@ type Scanner interface {
 
 // MemoryScanner is the standard Scanner over an in-memory Dataset. The dense
 // bitset form of each transaction is materialized once at construction and
-// shared across passes.
+// shared across passes, which may run concurrently (a cluster worker serves
+// every count over one shard from one scanner).
 type MemoryScanner struct {
 	data   *Dataset
 	bits   []*itemset.Bitset
-	passes int
+	passes atomic.Int64
 }
 
 // NewScanner wraps a dataset. The dataset must not be mutated while the
@@ -38,7 +43,7 @@ func NewScanner(d *Dataset) *MemoryScanner {
 
 // Scan implements Scanner.
 func (m *MemoryScanner) Scan(fn func(tx itemset.Itemset, bits *itemset.Bitset)) {
-	m.passes++
+	m.passes.Add(1)
 	for i, t := range m.data.Transactions() {
 		fn(t, m.bits[i])
 	}
@@ -51,10 +56,10 @@ func (m *MemoryScanner) Len() int { return m.data.Len() }
 func (m *MemoryScanner) NumItems() int { return m.data.NumItems() }
 
 // Passes implements Scanner.
-func (m *MemoryScanner) Passes() int { return m.passes }
+func (m *MemoryScanner) Passes() int { return int(m.passes.Load()) }
 
 // Dataset returns the underlying dataset.
 func (m *MemoryScanner) Dataset() *Dataset { return m.data }
 
 // ResetPasses zeroes the pass counter (used between benchmark iterations).
-func (m *MemoryScanner) ResetPasses() { m.passes = 0 }
+func (m *MemoryScanner) ResetPasses() { m.passes.Store(0) }

@@ -39,12 +39,11 @@ func StartLocalCluster(n int, logf func(format string, args ...interface{})) (*L
 	for i := 0; i < n; i++ {
 		nk := &faultinject.NodeKill{}
 		w := cluster.NewWorker(cluster.WorkerConfig{
-			ID:        fmt.Sprintf("local%d", i),
-			Down:      nk.Down,
+			ID:   fmt.Sprintf("local%d", i),
+			Down: nk.Down,
+			// Job passes and stream delta counts share the kill tripwire,
+			// so an armed crash lands on whichever count arrives next.
 			CountHook: func(*cluster.CountRequest) error { return nk.CountHook() },
-			// Streamed delta counts share the kill tripwire with job counts,
-			// so an armed crash lands on whichever RPC type arrives next.
-			StreamCountHook: func(*cluster.StreamCountRequest) error { return nk.CountHook() },
 			TxHook:    nk.TxHook,
 			Logf:      logf,
 		})

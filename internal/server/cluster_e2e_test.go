@@ -31,6 +31,9 @@ type clusterFixture struct {
 	// countDelay slows every count RPC, so tests can observe (and
 	// interrupt) a job mid-mine deterministically.
 	countDelay atomic.Int64 // nanoseconds
+	// countGate, when it holds a func(), runs inside every count RPC: a
+	// test keeps a batch in flight on a hung worker by blocking in it.
+	countGate atomic.Value
 }
 
 func startClusterWorkers(t *testing.T, n int) *clusterFixture {
@@ -45,10 +48,12 @@ func startClusterWorkers(t *testing.T, n int) *clusterFixture {
 				if d := fx.countDelay.Load(); d > 0 {
 					time.Sleep(time.Duration(d))
 				}
+				if gate, ok := fx.countGate.Load().(func()); ok {
+					gate()
+				}
 				return nk.CountHook()
 			},
-			StreamCountHook: func(*cluster.StreamCountRequest) error { return nk.CountHook() },
-			TxHook:          nk.TxHook,
+			TxHook: nk.TxHook,
 		})
 		srv := httptest.NewServer(w)
 		t.Cleanup(srv.Close)

@@ -567,8 +567,8 @@ func (m *Manager) finalize(j *Job, res *mfi.Result, err error) {
 	if err == nil {
 		doc := buildDoc(j.ID, j.Spec, sel, res, nil)
 		doc.Cluster = cdoc
-		record(StatusDone, doc, "")
-		m.met.jobsCompleted.Inc()
+		// Cache before announcing done: a client that sees done and
+		// resubmits must hit the cache, not re-mine.
 		m.mu.Lock()
 		m.cache.put(j.Key, doc)
 		m.met.cacheBytes.Set(m.cache.bytes)
@@ -576,6 +576,8 @@ func (m *Manager) finalize(j *Job, res *mfi.Result, err error) {
 		m.met.cacheEvictions.Add(m.cache.evictions - m.lastEvictions)
 		m.lastEvictions = m.cache.evictions
 		m.mu.Unlock()
+		record(StatusDone, doc, "")
+		m.met.jobsCompleted.Inc()
 		m.logf("job %s: done (%d maximal sets, %d passes)", j.ID, len(res.MFS), res.Stats.Passes)
 		return
 	}

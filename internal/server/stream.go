@@ -30,6 +30,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -233,6 +234,9 @@ type Stream struct {
 	// single thread) serializes.
 	sc         *cluster.StreamCoordinator
 	mineCoords []*cluster.Coordinator
+
+	// cancel ends the stream's context, a child of the daemon's.
+	cancel context.CancelFunc
 }
 
 // view renders the stream's status.
@@ -411,10 +415,12 @@ func (m *Manager) nextStreamID() string {
 }
 
 // newStream wires a maintainer to the daemon's seams: the shared metrics
-// tracer plus a per-stream JSONL trace, the base context, the re-mine
-// checkpoint file, and the fault-injection scanner hook.
+// tracer plus a per-stream JSONL trace, a per-stream child of the base
+// context, the re-mine checkpoint file, and the fault-injection scanner
+// hook.
 func (m *Manager) newStream(id string, spec StreamRequest, resumed bool) (*Stream, error) {
-	st := &Stream{ID: id, Spec: spec, created: time.Now(), resumed: resumed, tracer: m.tracer}
+	ctx, cancel := context.WithCancel(m.baseCtx)
+	st := &Stream{ID: id, Spec: spec, created: time.Now(), resumed: resumed, tracer: m.tracer, cancel: cancel}
 	if f, err := os.OpenFile(m.sp.streamTracePath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
 		st.trace = f
 		st.tracer = obsv.Multi(m.tracer, obsv.NewJSONTracer(f))
@@ -427,7 +433,7 @@ func (m *Manager) newStream(id string, spec StreamRequest, resumed bool) (*Strea
 		Counter:          spec.Counter,
 		Workers:          spec.Workers,
 		Tracer:           st.tracer,
-		Context:          m.baseCtx,
+		Context:          ctx,
 		MineCheckpointer: checkpoint.NewFileCheckpointer(m.sp.streamCheckpointPath(id)),
 	}
 	if m.cfg.WrapScanner != nil {
@@ -438,6 +444,7 @@ func (m *Manager) newStream(id string, spec StreamRequest, resumed bool) (*Strea
 	if spec.Cluster {
 		if m.cfg.Cluster != nil {
 			st.sc = cluster.NewStreamCoordinator(id, m.cfg.Cluster, st.tracer)
+			st.sc.BindContext(ctx, 0)
 			opt.DeltaCounter = func(seq int64, side string, d *dataset.Dataset, sets []itemset.Itemset) []int64 {
 				return st.sc.CountSets(seq, side, d, sets)
 			}
@@ -459,6 +466,7 @@ func (m *Manager) newStream(id string, spec StreamRequest, resumed bool) (*Strea
 	}
 	mt, err := incremental.New(opt)
 	if err != nil {
+		cancel()
 		if st.trace != nil {
 			st.trace.Close()
 		}
@@ -491,6 +499,7 @@ func (m *Manager) CreateStream(spec StreamRequest) (*Stream, error) {
 	m.mu.Lock()
 	if m.state != stateAccepting {
 		m.mu.Unlock()
+		st.cancel()
 		if st.trace != nil {
 			st.trace.Close()
 		}
@@ -530,7 +539,10 @@ func (m *Manager) StreamViews() []StreamView {
 	return views
 }
 
-// DeleteStream unregisters a stream and removes its spool files.
+// DeleteStream unregisters a stream and removes its spool files. It
+// cancels the stream's context before taking mu, so a batch stuck on a hung
+// worker finishes its delta counts locally (and aborts any re-mine)
+// instead of holding mu for an RPC timeout.
 func (m *Manager) DeleteStream(id string) bool {
 	m.mu.Lock()
 	st, ok := m.streams[id]
@@ -542,6 +554,7 @@ func (m *Manager) DeleteStream(id string) bool {
 	if !ok {
 		return false
 	}
+	st.cancel()
 	st.mu.Lock()
 	if st.trace != nil {
 		st.trace.Close()

@@ -10,13 +10,16 @@ package server_test
 // with zero lost and zero double-counted batches.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,6 +236,86 @@ func TestStreamClusterE2EQuorumDegradedBatch(t *testing.T) {
 		t.Fatal("post-recovery batch did not return to the cluster")
 	}
 	checkStreamMFS(t, hs.URL, v.ID, streamRef(t, strings.Join(batches, ""), testMinSupport))
+}
+
+// TestStreamClusterE2EStopCancelsBatch pins the per-stream context: with a
+// batch stuck on a hung worker (30 s RPC timeout), DELETE and daemon abort
+// each return within 2 s, because they cancel the stream's context and the
+// batch's delta counts finish locally instead of holding the stream.
+func TestStreamClusterE2EStopCancelsBatch(t *testing.T) {
+	batches := testStreamBatches()
+	for _, stop := range []string{"delete", "abort"} {
+		stop := stop
+		t.Run(stop, func(t *testing.T) {
+			fx := startClusterWorkers(t, 1)
+			pool := startPool(t, fx, func(c *cluster.PoolConfig) { c.RPCTimeout = 30 * time.Second })
+			srv, hs := newTestServer(t, func(c *server.Config) { c.Cluster = pool })
+			v := openStream(t, hs.URL, server.StreamRequest{MinSupport: testMinSupport, Cluster: true})
+			if code, _ := postBatch(t, hs.URL, v.ID, server.BatchRequest{Baskets: batches[0]}); code != http.StatusOK {
+				t.Fatalf("batch 1: status %d", code)
+			}
+
+			// Hang the worker's count handler and put batch 2 in flight.
+			entered, release := make(chan struct{}), make(chan struct{})
+			defer close(release)
+			var once sync.Once
+			fx.countGate.Store(func() {
+				once.Do(func() { close(entered) })
+				<-release
+			})
+			body, _ := json.Marshal(server.BatchRequest{Baskets: batches[1]})
+			posted := make(chan error, 1)
+			go func() {
+				resp, err := http.Post(hs.URL+"/v1/streams/"+v.ID+"/batches", "application/json", bytes.NewReader(body))
+				if err == nil {
+					resp.Body.Close()
+				}
+				posted <- err
+			}()
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("batch 2 never reached the worker")
+			}
+
+			start := time.Now()
+			stopped := make(chan int, 1)
+			go func() {
+				if stop == "abort" {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer cancel()
+					srv.Abort(ctx)
+					stopped <- 0
+					return
+				}
+				req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/streams/"+v.ID, nil)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					stopped <- -1
+					return
+				}
+				resp.Body.Close()
+				stopped <- resp.StatusCode
+			}()
+			select {
+			case code := <-stopped:
+				if stop == "delete" && code != http.StatusNoContent {
+					t.Fatalf("DELETE answered %d, want 204", code)
+				}
+				t.Logf("%s returned after %v", stop, time.Since(start))
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s still blocked after 2s behind the batch in flight", stop)
+			}
+			select {
+			case err := <-posted:
+				if err != nil {
+					t.Fatalf("in-flight batch POST: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the in-flight batch never answered")
+			}
+		})
+	}
 }
 
 // TestStreamClusterE2ECoordinatorKillCompose is the composition case the
