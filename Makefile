@@ -1,8 +1,9 @@
-# CI entry points. `make ci` is what the pipeline runs; the parallel, core,
-# and obsv packages additionally run under the race detector because they
-# are the packages with concurrency (counting workers, metrics scraping),
-# and the fault-injection matrix re-runs race-clean because it interleaves
-# kills and cancellations with the parallel counting barriers.
+# CI entry points. `make ci` is what the pipeline runs. The race target
+# covers the packages with concurrency: parallel (counting workers), core
+# and apriori (the miners those workers count for), obsv (metrics
+# scraping), fpmax, and counting's counter-agreement tests; the
+# fault-injection matrix re-runs race-clean because it interleaves kills
+# and cancellations with the parallel counting barriers.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -20,12 +21,14 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The counting package is filtered to the engine-invariance property test:
-# its steady-state allocation tests assert tight per-candidate bounds that
-# race-detector instrumentation pushes over the line.
+# The counting package is filtered to its counter-agreement tests (the
+# engine-invariance property, the scan counter's shards, the sharded
+# engines, the tid-list counter): its steady-state allocation tests assert
+# tight per-candidate bounds that race-detector instrumentation pushes over
+# the line.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/obsv/... ./internal/fpmax/...
-	$(GO) test -race -run TestEngineChoiceResultInvariant ./internal/counting/
+	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/apriori/... ./internal/obsv/... ./internal/fpmax/...
+	$(GO) test -race -run 'TestEngineChoiceResultInvariant|TestScanCounter|TestSharded|TestTidListCounterMatchesSupport' ./internal/counting/
 
 # Kill/cancel every miner at every pass boundary and mid-scan point and
 # assert that resuming from the checkpoint matches an uninterrupted run.
@@ -45,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPincerMatchesApriori -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parallel -run '^$$' -fuzz FuzzCountersAgree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzClusterMessage -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incremental -run '^$$' -fuzz FuzzMaintainerState -fuzztime $(FUZZTIME)

@@ -232,11 +232,11 @@ func BenchmarkParallelPincer(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := parallel.DefaultOptions()
-			opt.Workers = workers
-			opt.KeepFrequent = false
+			opt := copt
+			opt.Algorithm = "pincer-parallel"
 			for i := 0; i < b.N; i++ {
-				res := must(parallel.MinePincerOpts(d, 0.08, copt, opt))
+				opt.Counter = parallel.NewPassCounter(d, workers)
+				res := must(core.Mine(dataset.NewScanner(d), 0.08, opt))
 				if i == 0 {
 					if err := mfi.VerifyAgainst(res.MFS, seq.MFS); err != nil {
 						b.Fatalf("workers=%d: %v", workers, err)

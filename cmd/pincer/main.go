@@ -13,10 +13,10 @@
 // (pincer, vertical, or fpmax — see DESIGN.md §12), printing the choice
 // and its rationale to stderr. Output is one maximal frequent itemset per
 // line with its
-// support count, or a JSON document with -json. -workers selects the
-// count-distribution parallel miners (pincer and apriori only): counting is
-// distributed over that many goroutines (0 = GOMAXPROCS) with results
-// identical to the sequential run.
+// support count, or a JSON document with -json. -workers selects count
+// distribution (pincer and apriori only): the same miner, with every pass
+// counted over that many goroutines (0 = GOMAXPROCS) and results identical
+// to the sequential run.
 //
 // Long runs are interruptible: Ctrl-C (or -timeout / -max-candidates)
 // stops the mine at the next cancellation point and the command prints
@@ -77,7 +77,7 @@ func run(args []string, out *os.File) error {
 	traceJSON := fs.String("trace-json", "", "write per-pass trace events as JSON lines to this file (\"-\" for stderr)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long and print the partial anytime result (0 = no limit; pincer, apriori, and topdown)")
 	maxCandidates := fs.Int("max-candidates", 0, "abort when a pass would count more candidates than this and print the partial result (0 = unlimited; pincer and apriori)")
-	ckptPath := fs.String("checkpoint", "", "persist a resumable checkpoint to this file at every pass boundary (pincer and sequential apriori)")
+	ckptPath := fs.String("checkpoint", "", "persist a resumable checkpoint to this file at every pass boundary (pincer and apriori)")
 	resume := fs.Bool("resume", false, "continue from the -checkpoint file instead of starting fresh")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,24 +93,14 @@ func run(args []string, out *os.File) error {
 	if *timeout > 0 && !cancellable {
 		return fmt.Errorf("-timeout requires -algorithm pincer, apriori, or topdown, got %q", *algorithm)
 	}
-	if *maxCandidates > 0 {
-		if *algorithm != "pincer" && *algorithm != "apriori" {
-			return fmt.Errorf("-max-candidates requires -algorithm pincer or apriori, got %q", *algorithm)
-		}
-		if *algorithm == "apriori" && *workers >= 0 {
-			return fmt.Errorf("-max-candidates is not supported by the parallel apriori miner; drop -workers")
-		}
+	if *maxCandidates > 0 && *algorithm != "pincer" && *algorithm != "apriori" {
+		return fmt.Errorf("-max-candidates requires -algorithm pincer or apriori, got %q", *algorithm)
 	}
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	if *ckptPath != "" {
-		if *algorithm != "pincer" && *algorithm != "apriori" {
-			return fmt.Errorf("-checkpoint requires -algorithm pincer or apriori, got %q", *algorithm)
-		}
-		if *algorithm == "apriori" && *workers >= 0 {
-			return fmt.Errorf("-checkpoint is not supported by the parallel apriori miner; drop -workers")
-		}
+	if *ckptPath != "" && *algorithm != "pincer" && *algorithm != "apriori" {
+		return fmt.Errorf("-checkpoint requires -algorithm pincer or apriori, got %q", *algorithm)
 	}
 	engine, err := counting.ParseEngine(*engineName)
 	if err != nil {
@@ -205,13 +195,6 @@ func run(args []string, out *os.File) error {
 	if *workers >= 0 && *algorithm != "pincer" && *algorithm != "apriori" {
 		return fmt.Errorf("-workers requires -algorithm pincer or apriori, got %q", *algorithm)
 	}
-	popt := parallel.DefaultOptions()
-	popt.Workers = *workers
-	popt.Engine = engine
-	popt.KeepFrequent = *frequent
-	popt.Tracer = tracer
-	popt.Context = ctx
-	popt.Deadline = *timeout
 
 	// A budget or cancellation surfaces as a *mfi.PartialResultError whose
 	// Result is the anytime answer; treat it as a successful (partial) run.
@@ -238,7 +221,14 @@ func run(args []string, out *os.File) error {
 		opt.Deadline = *timeout
 		opt.MaxCandidatesPerPass = *maxCandidates
 		opt.Checkpointer = ckpt
-		if tidlist {
+		// -workers selects count distribution: the same miner with each
+		// pass counted over that many goroutines (0 = GOMAXPROCS), or with
+		// -counter tidlist that many intersection workers.
+		if *workers >= 0 {
+			opt.Algorithm = "pincer-parallel"
+		}
+		switch {
+		case tidlist:
 			tw := 1
 			switch {
 			case *workers == 0:
@@ -247,37 +237,33 @@ func run(args []string, out *os.File) error {
 				tw = *workers
 			}
 			opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: tw, Rep: counterRep})
-		}
-		switch {
-		case *workers >= 0 && *resume:
-			res, err = parallel.MinePincerResume(d, minCount, opt, popt)
 		case *workers >= 0:
-			res, err = parallel.MinePincerOpts(d, *support, opt, popt)
-		case *resume:
+			opt.Counter = parallel.NewPassCounter(d, *workers)
+		}
+		if *resume {
 			res, err = core.MineResume(sc, minCount, opt)
-		default:
-			res, err = core.Mine(sc, *support, opt)
+		} else {
+			res, err = core.MineCount(sc, minCount, opt)
 		}
 		if err = handle(err); err != nil {
 			return err
 		}
 	case "apriori":
+		opt := apriori.DefaultOptions()
+		opt.Engine = engine
+		opt.KeepFrequent = *frequent
+		opt.Tracer = tracer
+		opt.Context = ctx
+		opt.Deadline = *timeout
+		opt.MaxCandidatesPerPass = *maxCandidates
+		opt.Checkpointer = ckpt
 		if *workers >= 0 {
-			res, err = parallel.MineApriori(d, *support, popt)
+			opt.Counter = parallel.NewPassCounter(d, *workers)
+		}
+		if *resume {
+			res, err = apriori.MineResume(sc, minCount, opt)
 		} else {
-			opt := apriori.DefaultOptions()
-			opt.Engine = engine
-			opt.KeepFrequent = *frequent
-			opt.Tracer = tracer
-			opt.Context = ctx
-			opt.Deadline = *timeout
-			opt.MaxCandidatesPerPass = *maxCandidates
-			opt.Checkpointer = ckpt
-			if *resume {
-				res, err = apriori.MineResume(sc, minCount, opt)
-			} else {
-				res, err = apriori.Mine(sc, *support, opt)
-			}
+			res, err = apriori.MineCount(sc, minCount, opt)
 		}
 		if err = handle(err); err != nil {
 			return err

@@ -163,12 +163,10 @@ func writeDenseDB(t *testing.T) string {
 func TestRunFlagValidation(t *testing.T) {
 	db := writeTestDB(t)
 	cases := [][]string{
-		{"-input", db, "-resume"},                                                    // -resume without -checkpoint
-		{"-input", db, "-checkpoint", "x", "-algorithm", "eclat"},                    // checkpoint needs pincer/apriori
-		{"-input", db, "-checkpoint", "x", "-algorithm", "apriori", "-workers", "2"}, // parallel apriori cannot checkpoint
-		{"-input", db, "-timeout", "1s", "-algorithm", "eclat"},                      // eclat is not cancellable
-		{"-input", db, "-max-candidates", "5", "-algorithm", "topdown"},              // topdown has no candidate budget
-		{"-input", db, "-max-candidates", "5", "-algorithm", "apriori", "-workers", "2"},
+		{"-input", db, "-resume"},                                       // -resume without -checkpoint
+		{"-input", db, "-checkpoint", "x", "-algorithm", "eclat"},       // checkpoint needs pincer/apriori
+		{"-input", db, "-timeout", "1s", "-algorithm", "eclat"},         // eclat is not cancellable
+		{"-input", db, "-max-candidates", "5", "-algorithm", "topdown"}, // topdown has no candidate budget
 	}
 	for _, args := range cases {
 		if _, err := capture(t, args); err == nil {
@@ -201,54 +199,65 @@ func TestRunTimeoutJSONPartial(t *testing.T) {
 	}
 }
 
+// aprioriRuns are the apriori miner's two counting modes: sequential scans
+// and count distribution over two workers.
+var aprioriRuns = [][]string{
+	{"-algorithm", "apriori"},
+	{"-algorithm", "apriori", "-workers", "2"},
+}
+
 func TestRunMaxCandidatesPartial(t *testing.T) {
 	db := writeDenseDB(t)
-	out, err := capture(t, []string{"-input", db, "-support", "0.6", "-algorithm", "apriori", "-max-candidates", "1"})
-	if err != nil {
-		t.Fatalf("budgeted run should exit cleanly, got %v", err)
-	}
-	if !strings.Contains(out, "# PARTIAL result (max-candidates") {
-		t.Errorf("missing partial header: %q", out)
-	}
-	// Passes 1–2 completed, so the pairs are already known frequent.
-	if !strings.Contains(out, "{1,2} support=5") {
-		t.Errorf("partial result missing the frequent pairs: %q", out)
+	for _, algo := range aprioriRuns {
+		out, err := capture(t, append([]string{"-input", db, "-support", "0.6", "-max-candidates", "1"}, algo...))
+		if err != nil {
+			t.Fatalf("%v: budgeted run should exit cleanly, got %v", algo, err)
+		}
+		if !strings.Contains(out, "# PARTIAL result (max-candidates") {
+			t.Errorf("%v: missing partial header: %q", algo, out)
+		}
+		// Passes 1–2 completed, so the pairs are already known frequent.
+		if !strings.Contains(out, "{1,2} support=5") {
+			t.Errorf("%v: partial result missing the frequent pairs: %q", algo, out)
+		}
 	}
 }
 
 func TestRunCheckpointResume(t *testing.T) {
 	db := writeDenseDB(t)
-	ckpt := filepath.Join(t.TempDir(), "mine.ckpt")
-	want, err := capture(t, []string{"-input", db, "-support", "0.6", "-algorithm", "apriori"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, algo := range aprioriRuns {
+		ckpt := filepath.Join(t.TempDir(), "mine.ckpt")
+		want, err := capture(t, append([]string{"-input", db, "-support", "0.6"}, algo...))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Abort at pass 3 with a checkpoint on disk...
-	out, err := capture(t, []string{"-input", db, "-support", "0.6", "-algorithm", "apriori",
-		"-checkpoint", ckpt, "-max-candidates", "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "PARTIAL") {
-		t.Fatalf("first run did not abort: %q", out)
-	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint written: %v", err)
-	}
+		// Abort at pass 3 with a checkpoint on disk...
+		out, err := capture(t, append([]string{"-input", db, "-support", "0.6",
+			"-checkpoint", ckpt, "-max-candidates", "1"}, algo...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "PARTIAL") {
+			t.Fatalf("%v: first run did not abort: %q", algo, out)
+		}
+		if _, err := os.Stat(ckpt); err != nil {
+			t.Fatalf("%v: no checkpoint written: %v", algo, err)
+		}
 
-	// ...then resume without the budget and match the uninterrupted output.
-	out, err = capture(t, []string{"-input", db, "-support", "0.6", "-algorithm", "apriori",
-		"-checkpoint", ckpt, "-resume"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != want {
-		t.Errorf("resumed output differs:\ngot  %q\nwant %q", out, want)
-	}
-	// A completed run clears its checkpoint.
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Errorf("checkpoint not cleared after completion: %v", err)
+		// ...then resume without the budget and match the uninterrupted output.
+		out, err = capture(t, append([]string{"-input", db, "-support", "0.6",
+			"-checkpoint", ckpt, "-resume"}, algo...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != want {
+			t.Errorf("%v: resumed output differs:\ngot  %q\nwant %q", algo, out, want)
+		}
+		// A completed run clears its checkpoint.
+		if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+			t.Errorf("%v: checkpoint not cleared after completion: %v", algo, err)
+		}
 	}
 }
 

@@ -87,9 +87,9 @@ func TestMinePassBudgetAndResume(t *testing.T) {
 func TestMineAprioriParallelContext(t *testing.T) {
 	d := questDB(t)
 	want := pincer.MineApriori(d, 0.05)
-	popt := pincer.DefaultParallelOptions()
-	popt.Workers = 3
-	got, err := pincer.MineAprioriParallelContext(context.Background(), d, 0.05, popt)
+	opt := pincer.DefaultAprioriOptions()
+	opt.Counter = pincer.NewParallelCounter(d, 3)
+	got, err := pincer.MineAprioriWithOptionsContext(context.Background(), d, 0.05, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

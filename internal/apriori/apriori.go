@@ -118,6 +118,11 @@ type Options struct {
 	// Checkpointer, if set, persists the run's state at every pass barrier
 	// (cleared on completion); MineResume restarts from it.
 	Checkpointer checkpoint.Checkpointer
+	// Counter overrides the per-pass support counting (nil: one sequential
+	// scan of the Scanner per pass). internal/parallel's counters count
+	// each pass over worker goroutines; the passes, candidates and results
+	// are unchanged — only how each pass's counts are produced.
+	Counter counting.PassCounter
 }
 
 // DefaultOptions returns the standard configuration.
@@ -207,6 +212,7 @@ func (s aprioriStage) stageName() string {
 // than in locals so checkpoints can persist it and restore can re-enter.
 type aprioriMiner struct {
 	sc       dataset.Scanner
+	pc       counting.PassCounter
 	opt      Options
 	minCount int64
 	res      *mfi.Result
@@ -240,8 +246,18 @@ func newAprioriMiner(sc dataset.Scanner, minCount int64, opt Options) *aprioriMi
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // uncancellable: skip every check
 	}
+	pc := opt.Counter
+	if pc == nil {
+		pc = counting.NewScanCounter(sc)
+	}
+	if ctx != nil {
+		if cb, ok := pc.(counting.ContextBinder); ok {
+			cb.BindContext(ctx, opt.CancelCheckEvery)
+		}
+	}
 	m := &aprioriMiner{
 		sc:       sc,
+		pc:       pc,
 		opt:      opt,
 		minCount: minCount,
 		counts:   make(map[string]int64),
@@ -269,7 +285,7 @@ func (m *aprioriMiner) mine() (res *mfi.Result, err error) {
 	if m.tr != nil {
 		m.tr.RunStart(obsv.RunInfo{
 			Algorithm:       m.res.Stats.Algorithm,
-			Workers:         1,
+			Workers:         counting.WorkersOf(m.pc),
 			MinCount:        m.minCount,
 			NumTransactions: m.sc.Len(),
 		})
@@ -294,23 +310,15 @@ func (m *aprioriMiner) mine() (res *mfi.Result, err error) {
 	return r, nil
 }
 
-// scan performs one timed, guarded database read. The tracing seam: with a
-// Tracer the read is timed for the pass event; with a cancellable context
-// each transaction ticks a ScanGuard. Neither costs anything when unused.
-func (m *aprioriMiner) scan(f func(itemset.Itemset, *itemset.Bitset)) {
-	fn := f
-	if guard := mfi.NewScanGuard(m.ctx, m.opt.CancelCheckEvery); guard != nil {
-		fn = func(tx itemset.Itemset, bits *itemset.Bitset) {
-			guard.Tick()
-			f(tx, bits)
-		}
-	}
+// count performs one database pass — one counting call — timing it for the
+// pass event when a Tracer is set (untraced runs take no timestamps).
+func (m *aprioriMiner) count(pass func()) {
 	if m.tr == nil {
-		m.sc.Scan(fn)
+		pass()
 		return
 	}
 	t0 := time.Now()
-	m.sc.Scan(fn)
+	pass()
 	m.scanDur = time.Since(t0)
 }
 
@@ -332,7 +340,7 @@ func (m *aprioriMiner) emit() {
 		Infrequent:   p.Candidates - p.Frequent,
 		MFSFound:     p.MFSFound,
 		ScanDuration: d,
-		Workers:      1,
+		Workers:      counting.WorkersOf(m.pc),
 	})
 }
 
@@ -388,9 +396,7 @@ func (m *aprioriMiner) run() {
 // pass1 counts every item in a flat array; done means the run is complete.
 func (m *aprioriMiner) pass1() (done bool) {
 	m.beforePass(0)
-	array := counting.NewItemArray(m.sc.NumItems())
-	m.scan(func(tx itemset.Itemset, _ *itemset.Bitset) { array.Add(tx) })
-	m.itemCounts = array.Counts()
+	m.count(func() { m.itemCounts, _ = m.pc.CountItems(m.sc.NumItems(), nil, nil) })
 	var l1 itemset.Itemset
 	for i, c := range m.itemCounts {
 		if c >= m.minCount {
@@ -407,8 +413,8 @@ func (m *aprioriMiner) pass1() (done bool) {
 // candidate generation; done means the run is complete.
 func (m *aprioriMiner) pass2() (done bool) {
 	m.beforePass(0)
-	tri := counting.NewTriangle(m.sc.NumItems(), m.l1())
-	m.scan(func(tx itemset.Itemset, _ *itemset.Bitset) { tri.Add(tx) })
+	var tri *counting.Triangle
+	m.count(func() { tri, _ = m.pc.CountPairs(m.sc.NumItems(), m.l1(), nil, nil) })
 	var l2 []itemset.Itemset
 	tri.Each(func(x, y itemset.Item, count int64) {
 		if count >= m.minCount {
@@ -454,9 +460,8 @@ func (m *aprioriMiner) levelwise() {
 			all = append(append([]itemset.Itemset(nil), ck...), speculative...)
 		}
 		m.beforePass(len(all))
-		counter := counting.NewCounter(m.opt.Engine, all)
-		m.scan(func(tx itemset.Itemset, _ *itemset.Bitset) { counter.Add(tx) })
-		counts := counter.Counts()
+		var counts []int64
+		m.count(func() { counts, _ = m.pc.CountCandidates(m.opt.Engine, all, nil, nil) })
 		var next []itemset.Itemset
 		for i, c := range ck {
 			if counts[i] >= m.minCount {

@@ -159,22 +159,20 @@ func RunParallelSweep(spec Spec, support float64, workerCounts []int, repeats in
 	rep.Candidates = seq.Stats.Candidates
 	rep.MFSSize = len(seq.MFS)
 
-	paropt := parallel.DefaultOptions()
-	paropt.Engine = opt.Engine
-	paropt.KeepFrequent = false
-	paropt.Context = opt.Context
 	for _, w := range workerCounts {
 		if opt.cancelled() {
 			rep.Runs = append(rep.Runs, ParallelMeasure{Workers: w, Err: opt.Context.Err().Error()})
 			continue
 		}
-		paropt.Workers = w
 		var par *mfi.Result
 		var runErr error
 		pbest := time.Duration(0)
 		for i := 0; i < repeats; i++ {
-			paropt.Tracer = tracerFor(i)
-			res, err := parallel.MinePincerOpts(d, support, popt, paropt)
+			ropt := popt
+			ropt.Algorithm = "pincer-parallel"
+			ropt.Counter = parallel.NewPassCounter(d, w)
+			ropt.Tracer = tracerFor(i)
+			res, err := core.Mine(dataset.NewScanner(d), support, ropt)
 			if err != nil {
 				runErr = err
 				break

@@ -6,17 +6,13 @@ import (
 	"pincer/internal/itemset"
 )
 
-// directElemsMax mirrors core's threshold: up to this many MFCS elements
-// are counted by direct per-transaction bitset subset tests, above it a
-// trie over the elements is cheaper. The counts are identical either way.
-const directElemsMax = 16
-
 // countShard performs one request's counting over one shard — the pure
 // procedure shared by the worker's count handler and the coordinators'
 // local fallback, so a shard counted locally after node loss contributes
-// exactly the bytes its worker would have. It mirrors core's sequential
-// PassCounter kind by kind; the scanner's universe must equal
-// req.NumItems so count vectors align positionally across shards.
+// exactly the bytes its worker would have. It is counting.ScanCounter's
+// pass over a single-shard feed, the same pass body every in-process
+// counter runs; the scanner's universe must equal req.NumItems so count
+// vectors align positionally across shards.
 //
 // tick, when non-nil, is called once per scanned transaction; a non-nil
 // return aborts the scan (the fault-injection mid-scan kill). The job
@@ -24,71 +20,52 @@ const directElemsMax = 16
 // mining abort on cancellation, matching in-process counters.
 func countShard(sc *dataset.MemoryScanner, req *CountRequest, tick func() error) (*CountResponse, error) {
 	resp := &CountResponse{ShardID: req.ShardID, Pass: req.Pass, Transactions: sc.Len()}
-	var add func(tx itemset.Itemset)
-	var finish func()
+	feed := &shardFeed{sc: sc, tick: tick}
+	c := counting.NewFeedCounter(feed)
+	bits := bitsetsOf(req.NumItems, req.Elems)
 	switch req.Kind {
 	case KindItems:
-		array := counting.NewItemArray(req.NumItems)
-		add = array.Add
-		finish = func() { resp.ItemCounts = array.Counts() }
+		resp.ItemCounts, resp.ElemCounts = c.CountItems(req.NumItems, req.Elems, bits)
 	case KindPairs:
-		tri := counting.NewTriangle(req.NumItems, req.Live)
-		add = tri.Add
-		finish = func() { _, _, resp.PairCounts = tri.Snapshot() }
+		var tri *counting.Triangle
+		tri, resp.ElemCounts = c.CountPairs(req.NumItems, req.Live, req.Elems, bits)
+		_, _, resp.PairCounts = tri.Snapshot()
 	case KindCandidates:
-		if len(req.Candidates) > 0 {
-			counter := counting.NewCounter(parseEngine(req.Engine), req.Candidates)
-			add = counter.Add
-			finish = func() { resp.CandCounts = counter.Counts() }
-		}
+		resp.CandCounts, resp.ElemCounts = c.CountCandidates(parseEngine(req.Engine), req.Candidates, req.Elems, bits)
+	case KindSets:
+		// The sets promise no antichain, so they are always tested directly.
+		resp.ElemCounts = c.CountSets(req.Elems, bits)
 	}
-
-	// Elements are counted by direct subset tests, except for many MFCS
-	// elements on a candidates pass: those form an antichain, so the trie
-	// handles their mixed lengths safely (same rationale as core). KindSets
-	// promises no antichain, so it always tests directly.
-	var elemTrie counting.Counter
-	var elemBits []*itemset.Bitset
-	elemCounts := make([]int64, len(req.Elems))
-	if req.Kind == KindCandidates && len(req.Elems) > directElemsMax {
-		elemTrie = counting.NewTrie(req.Elems)
-	} else {
-		elemBits = bitsetsOf(req.NumItems, req.Elems)
+	if feed.abort != nil {
+		return nil, feed.abort
 	}
+	return resp, nil
+}
 
-	var abort error
-	sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-		if abort != nil {
+// shardFeed feeds one shard's scan to a single counting shard, calling tick
+// before each transaction; the first error tick returns skips the rest of
+// the scan and is kept in abort.
+type shardFeed struct {
+	sc    *dataset.MemoryScanner
+	tick  func() error
+	abort error
+}
+
+func (f *shardFeed) Shards() int { return 1 }
+
+func (f *shardFeed) Pass(open func(int) func(itemset.Itemset, *itemset.Bitset)) {
+	add := open(0)
+	f.sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
+		if f.abort != nil {
 			return
 		}
-		if tick != nil {
-			if abort = tick(); abort != nil {
+		if f.tick != nil {
+			if f.abort = f.tick(); f.abort != nil {
 				return
 			}
 		}
-		if add != nil {
-			add(tx)
-		}
-		if elemTrie != nil {
-			elemTrie.Add(tx)
-		}
-		for i, eb := range elemBits {
-			if eb.IsSubsetOf(bits) {
-				elemCounts[i]++
-			}
-		}
+		add(tx, bits)
 	})
-	if abort != nil {
-		return nil, abort
-	}
-	if finish != nil {
-		finish()
-	}
-	if elemTrie != nil {
-		elemCounts = elemTrie.Counts()
-	}
-	resp.ElemCounts = elemCounts
-	return resp, nil
 }
 
 // bitsetsOf builds the dense forms of sets over the given universe.

@@ -1,56 +1,23 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"pincer/internal/counting"
 	"pincer/internal/dataset"
 	"pincer/internal/itemset"
-	"pincer/internal/mfi"
 )
 
-// PassCounter is the miner's injection seam for per-pass support counting.
-// Each method performs the counting work of one database pass — pass 1
-// (per-item array), pass 2 (triangular pair matrix), or a pass ≥ 3
-// (candidate engine) — together with the support counts of the given MFCS
-// elements, and is charged as exactly one database read by the miner's pass
-// accounting.
-//
-// Implementations must return counts positionally parallel to their inputs
-// and must be observationally equivalent to one sequential scan: identical
-// counts, independent of transaction order or partitioning. The sequential
-// default scans the miner's Scanner; internal/parallel injects a
-// count-distribution implementation that scans horizontal partitions
-// concurrently and merges per-worker counters at the pass barrier.
-//
-// elems is always an antichain of mixed-length itemsets (MFCS elements)
-// with elemBits their dense forms, parallel to elems; both may be empty.
-type PassCounter interface {
-	// CountItems counts every item of the universe plus the elements.
-	CountItems(numItems int, elems []itemset.Itemset, elemBits []*itemset.Bitset) (itemCounts, elemCounts []int64)
-	// CountPairs counts every pair of live items plus the elements.
-	CountPairs(numItems int, live itemset.Itemset, elems []itemset.Itemset, elemBits []*itemset.Bitset) (*counting.Triangle, []int64)
-	// CountCandidates counts the bottom-up candidates with the given engine
-	// plus the elements. candidates may be empty (MFCS-only tail passes).
-	CountCandidates(engine counting.Engine, candidates []itemset.Itemset, elems []itemset.Itemset, elemBits []*itemset.Bitset) (candCounts, elemCounts []int64)
-}
-
-// ContextBinder is implemented by PassCounters that perform their own
-// database scans and need the run's context for mid-scan cancellation
-// checks (every checkEvery transactions, per worker for parallel
-// counters). The miner calls it once, before the first pass, and only when
-// the context can actually be cancelled.
-type ContextBinder interface {
-	BindContext(ctx context.Context, checkEvery int)
-}
-
-// WorkerCounted is implemented by PassCounters that distribute a pass over
-// worker goroutines; the miner reports the count in trace events.
-type WorkerCounted interface {
-	// Workers returns the number of counting goroutines per pass.
-	Workers() int
-}
+// PassCounter is the miner's injection seam for per-pass support counting
+// (see counting.PassCounter). The sequential default is NewScanCounter;
+// internal/parallel's counters, counting.TidListCounter and the cluster
+// coordinator are the others. ContextBinder and WorkerCounted are the
+// optional interfaces the miner asks a counter for.
+type (
+	PassCounter   = counting.PassCounter
+	ContextBinder = counting.ContextBinder
+	WorkerCounted = counting.WorkerCounted
+)
 
 // IntersectionReporter is implemented by PassCounters that determine
 // supports by tidset intersection (counting.TidListCounter) instead of by
@@ -60,17 +27,6 @@ type WorkerCounted interface {
 // events. Scan-based counters simply don't implement it.
 type IntersectionReporter interface {
 	TakeIntersections() counting.IntersectionStats
-}
-
-// countingWorkers reports how many goroutines a PassCounter counts with
-// (1 unless it says otherwise).
-func countingWorkers(pc PassCounter) int {
-	if wc, ok := pc.(WorkerCounted); ok {
-		if w := wc.Workers(); w > 0 {
-			return w
-		}
-	}
-	return 1
 }
 
 // timedPassCounter decorates a PassCounter with per-call wall-clock
@@ -112,7 +68,7 @@ func (t *timedPassCounter) CountCandidates(engine counting.Engine, candidates []
 }
 
 // Workers delegates to the wrapped counter.
-func (t *timedPassCounter) Workers() int { return countingWorkers(t.pc) }
+func (t *timedPassCounter) Workers() int { return counting.WorkersOf(t.pc) }
 
 // TakeIntersections delegates to the wrapped counter; for scan counters it
 // reports zero stats, which the trace layer omits.
@@ -123,106 +79,13 @@ func (t *timedPassCounter) TakeIntersections() counting.IntersectionStats {
 	return counting.IntersectionStats{}
 }
 
-// directElemsMax is the element count up to which a pass counts MFCS
-// elements by direct per-transaction bitset subset tests; above it a trie
-// over the elements is cheaper. Either way the counts are identical.
-const directElemsMax = 16
-
-// seqPassCounter is the default PassCounter: one sequential scan of the
-// miner's Scanner per call, exactly the paper's counting procedure. When a
-// cancellable context is bound, each scan checks it every checkEvery
-// transactions via a ScanGuard; unbound (the common case) the guard is nil
-// and Tick is a single nil test.
-type seqPassCounter struct {
-	sc         dataset.Scanner
-	ctx        context.Context
-	checkEvery int
-}
-
-// BindContext implements ContextBinder.
-func (s *seqPassCounter) BindContext(ctx context.Context, checkEvery int) {
-	s.ctx = ctx
-	s.checkEvery = checkEvery
-}
-
-func (s *seqPassCounter) CountItems(numItems int, elems []itemset.Itemset, elemBits []*itemset.Bitset) ([]int64, []int64) {
-	array := counting.NewItemArray(numItems)
-	elemCounts := make([]int64, len(elems))
-	guard := mfi.NewScanGuard(s.ctx, s.checkEvery)
-	s.sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-		guard.Tick()
-		array.Add(tx)
-		for i, eb := range elemBits {
-			if eb.IsSubsetOf(bits) {
-				elemCounts[i]++
-			}
-		}
-	})
-	return array.Counts(), elemCounts
-}
-
-func (s *seqPassCounter) CountPairs(numItems int, live itemset.Itemset, elems []itemset.Itemset, elemBits []*itemset.Bitset) (*counting.Triangle, []int64) {
-	tri := counting.NewTriangle(numItems, live)
-	elemCounts := make([]int64, len(elems))
-	guard := mfi.NewScanGuard(s.ctx, s.checkEvery)
-	s.sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-		guard.Tick()
-		tri.Add(tx)
-		for i, eb := range elemBits {
-			if eb.IsSubsetOf(bits) {
-				elemCounts[i]++
-			}
-		}
-	})
-	return tri, elemCounts
-}
-
-func (s *seqPassCounter) CountCandidates(engine counting.Engine, candidates []itemset.Itemset, elems []itemset.Itemset, elemBits []*itemset.Bitset) ([]int64, []int64) {
-	var counter counting.Counter
-	if len(candidates) > 0 {
-		counter = counting.NewCounter(engine, candidates)
-	}
-	var elemCounter counting.Counter
-	var elemCounts []int64
-	if len(elems) > directElemsMax {
-		// MFCS elements form an antichain, so no element is a prefix of
-		// another and the trie handles the mixed lengths safely.
-		elemCounter = counting.NewTrie(elems)
-	} else {
-		elemCounts = make([]int64, len(elems))
-	}
-	guard := mfi.NewScanGuard(s.ctx, s.checkEvery)
-	s.sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
-		guard.Tick()
-		if counter != nil {
-			counter.Add(tx)
-		}
-		if elemCounter != nil {
-			elemCounter.Add(tx)
-		} else {
-			for i, eb := range elemBits {
-				if eb.IsSubsetOf(bits) {
-					elemCounts[i]++
-				}
-			}
-		}
-	})
-	if elemCounter != nil {
-		elemCounts = elemCounter.Counts()
-	}
-	if counter != nil {
-		return counter.Counts(), elemCounts
-	}
-	return nil, elemCounts
-}
-
 // NewScanCounter returns the default sequential PassCounter over sc — one
 // full scan per counting call, exactly the paper's procedure. It is what a
 // miner uses when Options.Counter is nil; the constructor exists so other
 // packages (internal/incremental's delta verification) can drive the same
 // counting path over ad-hoc datasets without a miner in the loop.
 func NewScanCounter(sc dataset.Scanner) PassCounter {
-	return &seqPassCounter{sc: sc}
+	return counting.NewScanCounter(sc)
 }
 
 // elemSets extracts the itemset and bitset forms of uncounted MFCS elements

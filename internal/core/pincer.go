@@ -72,8 +72,8 @@ type Options struct {
 	// unchanged.
 	Tracer obsv.Tracer
 	// Algorithm overrides the name recorded in Stats and trace events
-	// (default "pincer"); internal/parallel labels its runs
-	// "pincer-parallel".
+	// (default "pincer"); runs counted by internal/parallel's counters are
+	// labelled "pincer-parallel".
 	Algorithm string
 
 	// Context cancels the run: cancellation is observed at every pass
@@ -263,7 +263,7 @@ func newMiner(sc dataset.Scanner, minCount int64, opt Options) *miner {
 	}
 	pc := opt.Counter
 	if pc == nil {
-		pc = &seqPassCounter{sc: sc}
+		pc = counting.NewScanCounter(sc)
 	}
 	if ctx != nil {
 		if cb, ok := pc.(ContextBinder); ok {
@@ -311,7 +311,7 @@ func newMiner(sc dataset.Scanner, minCount int64, opt Options) *miner {
 		// Thread the tracer through the PassCounter seam: the timing
 		// decorator records each pass's scan wall clock for the events.
 		m.tracer = opt.Tracer
-		m.workers = countingWorkers(pc)
+		m.workers = counting.WorkersOf(pc)
 		m.timed = &timedPassCounter{pc: pc}
 		m.pc = m.timed
 	}

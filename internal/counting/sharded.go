@@ -68,8 +68,12 @@ func (s *Sharded) Shard(w int) Counter { return s.shards[w] }
 // Workers returns the number of shards.
 func (s *Sharded) Workers() int { return len(s.shards) }
 
-// Counts implements Counter: the per-shard counts summed.
+// Counts implements Counter: the per-shard counts summed (a single shard's
+// are returned as they are).
 func (s *Sharded) Counts() []int64 {
+	if len(s.shards) == 1 {
+		return s.shards[0].Counts()
+	}
 	total := make([]int64, len(s.candidates))
 	for _, sh := range s.shards {
 		SumInto(total, sh.Counts())

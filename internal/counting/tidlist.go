@@ -35,8 +35,8 @@ type TidListOptions struct {
 // the counts come from differs, which is the point: the miner still charges
 // one "pass" per counting call, but only the first call reads the database.
 //
-// It implements core.PassCounter, core.ContextBinder, core.WorkerCounted,
-// and core.IntersectionReporter structurally.
+// It implements PassCounter, ContextBinder, WorkerCounted, and
+// core.IntersectionReporter.
 type TidListCounter struct {
 	d   *dataset.Dataset
 	opt TidListOptions
@@ -65,10 +65,10 @@ func NewTidListCounter(d *dataset.Dataset, opt TidListOptions) *TidListCounter {
 	return &TidListCounter{d: d, opt: opt}
 }
 
-// Workers implements core.WorkerCounted.
+// Workers implements WorkerCounted.
 func (c *TidListCounter) Workers() int { return c.opt.Workers }
 
-// BindContext implements core.ContextBinder: each worker checks the context
+// BindContext implements ContextBinder: each worker checks the context
 // every checkEvery kernel operations (the vertical analogue of "every N
 // transactions") and aborts the pass when it is cancelled.
 func (c *TidListCounter) BindContext(ctx context.Context, checkEvery int) {
@@ -441,10 +441,11 @@ func (w *tlWalker) countElem(c *TidListCounter, e itemset.Itemset) int64 {
 	return int64(src.card)
 }
 
-// Canceled is the panic sentinel the vertical counter's operation guards
-// raise when their bound context is cancelled mid-pass. The mining layer
-// (mfi.AbortFrom) converts it into its abort sentinel, so cancellation of a
-// tid-list pass surfaces as the same partial result a scan pass produces.
+// Canceled is the panic sentinel the counters' guards raise when their
+// bound context is cancelled mid-pass (every N kernel operations of a
+// tid-list pass, every N transactions of a scan shard). The mining layer
+// (mfi.AbortFrom) converts it into its abort sentinel, so a cancelled pass
+// surfaces as a partial result whichever counter ran it.
 type Canceled struct{ Err error }
 
 // Error implements error.
@@ -453,8 +454,8 @@ func (c *Canceled) Error() string { return fmt.Sprintf("counting: pass cancelled
 // Unwrap exposes the context error.
 func (c *Canceled) Unwrap() error { return c.Err }
 
-// opGuard checks a context every `every` kernel operations. A nil guard is
-// valid and free.
+// opGuard checks a context every `every` operations (kernel operations or
+// scanned transactions). A nil guard is valid and free.
 type opGuard struct {
 	ctx   context.Context
 	every int
@@ -463,15 +464,18 @@ type opGuard struct {
 
 // guard builds the per-worker cancellation guard (nil when no context is
 // bound).
-func (c *TidListCounter) guard() *opGuard {
-	if c.ctx == nil {
+func (c *TidListCounter) guard() *opGuard { return newOpGuard(c.ctx, c.checkEvery) }
+
+// newOpGuard builds a guard checking ctx every `every` operations (≤ 0:
+// 1024); it is nil when ctx is.
+func newOpGuard(ctx context.Context, every int) *opGuard {
+	if ctx == nil {
 		return nil
 	}
-	every := c.checkEvery
 	if every <= 0 {
 		every = 1024
 	}
-	return &opGuard{ctx: c.ctx, every: every}
+	return &opGuard{ctx: ctx, every: every}
 }
 
 // tick registers one operation, panicking with Canceled when the context

@@ -204,6 +204,43 @@ func flavors(d *dataset.Dataset, minCount int64) []flavor {
 			},
 		})
 	}
+
+	// Parallel Apriori is Apriori with a partitioned counter: the counter
+	// wrapper trips at every pass boundary, a kill there or a cancellation
+	// the worker guards catch mid-scan.
+	aprParOpt := func(cp checkpoint.Checkpointer, ctr core.PassCounter) apriori.Options {
+		o := aprOpt(cp)
+		o.Counter = ctr
+		return o
+	}
+	fl = append(fl, flavor{
+		name: "apriori-parallel-w4",
+		baseline: func() (*mfi.Result, error) {
+			return apriori.MineCount(dataset.NewScanner(d), minCount, aprParOpt(nil, parallel.NewPassCounter(d, 4)))
+		},
+		resume: func(cp checkpoint.Checkpointer) (*mfi.Result, error) {
+			return apriori.MineResume(dataset.NewScanner(d), minCount, aprParOpt(cp, parallel.NewPassCounter(d, 4)))
+		},
+		faults: func(pass, half int) map[string]faultRun {
+			return map[string]faultRun{
+				"kill-boundary": func(cp checkpoint.Checkpointer) error {
+					ctr := &faultinject.Counter{Inner: parallel.NewPassCounter(d, 4), TripAt: pass, Mode: faultinject.ModeKill}
+					_, err := apriori.MineCount(dataset.NewScanner(d), minCount, aprParOpt(cp, ctr))
+					return err
+				},
+				"cancel-midscan": func(cp checkpoint.Checkpointer) error {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					ctr := &faultinject.Counter{Inner: parallel.NewPassCounter(d, 4), TripAt: pass, Mode: faultinject.ModeCancel, Cancel: cancel}
+					o := aprParOpt(cp, ctr)
+					o.Context = ctx
+					o.CancelCheckEvery = 1
+					_, err := apriori.MineCount(dataset.NewScanner(d), minCount, o)
+					return err
+				},
+			}
+		},
+	})
 	return fl
 }
 

@@ -435,31 +435,22 @@ func (m *Maintainer) mineDataset(seq int64, d *dataset.Dataset, minCount int64, 
 		copt.Checkpointer = m.opt.MineCheckpointer
 		copt.SeedMFS = seeds
 		copt.SeedSupports = seedSupports
+		// Counting strategy: an injected counter (a distributed re-mine fans
+		// each pass out itself), else tid-lists, else count distribution
+		// over Workers goroutines, else a sequential scan.
 		if m.opt.MineCounter != nil {
-			if pc := m.opt.MineCounter(seq, d); pc != nil {
-				// Distributed re-mine: the injected counter fans each pass
-				// out itself, so the core (sequential-loop) miner drives it.
-				copt.Counter = pc
-				if resume {
-					return core.MineResume(m.scanner(d), minCount, copt)
-				}
-				return core.MineCount(m.scanner(d), minCount, copt)
-			}
+			copt.Counter = m.opt.MineCounter(seq, d)
 		}
-		if m.opt.Counter == CounterTidList {
-			copt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: m.opt.Workers})
-		}
-		if m.opt.Workers > 1 {
-			popt := parallel.DefaultOptions()
-			popt.Workers = m.opt.Workers
-			popt.KeepFrequent = false
-			popt.Tracer = m.opt.Tracer
-			popt.Context = m.opt.Context
-			popt.Checkpointer = m.opt.MineCheckpointer
-			if resume {
-				return parallel.MinePincerResume(d, minCount, copt, popt)
+		if copt.Counter == nil {
+			switch {
+			case m.opt.Counter == CounterTidList:
+				copt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: m.opt.Workers})
+			case m.opt.Workers > 1:
+				copt.Counter = parallel.NewPassCounter(d, m.opt.Workers)
 			}
-			return parallel.MinePincerCount(d, minCount, copt, popt)
+			if m.opt.Workers > 1 {
+				copt.Algorithm = "pincer-parallel"
+			}
 		}
 		sc := m.scanner(d)
 		if resume {

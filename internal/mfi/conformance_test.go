@@ -307,14 +307,19 @@ func TestConformance(t *testing.T) {
 							return &fpmax.MineMaximal(d, minsup, fpmax.DefaultOptions()).Result, nil
 						}},
 						{"parallel-w1", func() (*mfi.Result, error) {
-							popt := parallel.DefaultOptions()
-							popt.Workers = 1
-							return parallel.MinePincerCount(d, minCount, core.DefaultOptions(), popt)
+							opt := core.DefaultOptions()
+							opt.Counter = parallel.NewPassCounter(d, 1)
+							return core.MineCount(dataset.NewScanner(d), minCount, opt)
 						}},
 						{"parallel-w4", func() (*mfi.Result, error) {
-							popt := parallel.DefaultOptions()
-							popt.Workers = 4
-							return parallel.MinePincerCount(d, minCount, core.DefaultOptions(), popt)
+							opt := core.DefaultOptions()
+							opt.Counter = parallel.NewPassCounter(d, 4)
+							return core.MineCount(dataset.NewScanner(d), minCount, opt)
+						}},
+						{"apriori-parallel-w4", func() (*mfi.Result, error) {
+							opt := apriori.DefaultOptions()
+							opt.Counter = parallel.NewPassCounter(d, 4)
+							return apriori.MineCount(dataset.NewScanner(d), minCount, opt)
 						}},
 						{"pincer-cluster-w2", func() (*mfi.Result, error) {
 							return mineOnCluster(t, d, minCount, 2)

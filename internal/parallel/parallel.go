@@ -1,330 +1,213 @@
-// Package parallel implements count-distribution parallel mining after
-// Agrawal & Shafer ("Parallel Mining of Association Rules", 1996) — the
-// parallel-algorithms direction the paper surveys in §5 and to which it
-// notes its approach applies.
+// Package parallel implements count distribution after Agrawal & Shafer
+// ("Parallel Mining of Association Rules", 1996) — the parallel-algorithms
+// direction the paper surveys in §5 and to which it notes its approach
+// applies.
 //
-// In count distribution every worker owns a horizontal partition of the
+// In count distribution every worker owns a horizontal part of the
 // database and all workers share the candidate set; each pass, workers
-// count their partitions concurrently into private counters and the
-// per-candidate counts are summed at the pass barrier. The algorithm's
-// pass/candidate structure is identical to the sequential one — only
-// wall-clock time changes — so the package exposes parallel variants of
-// both Apriori-style candidate counting (MineApriori) and the full
-// Pincer-Search loop (MinePincer), the latter by injecting a partitioned
-// counting strategy into internal/core's PassCounter seam.
+// count their parts concurrently into private counters and the counts are
+// summed at the pass barrier. The algorithm's pass and candidate structure
+// is that of the sequential one — only wall-clock time changes — so
+// parallel mining is a choice of counter, not a separate miner: the package
+// provides two counting.Feeds for counting.ScanCounter, which holds the one
+// pass body, and a miner (core or apriori) takes the resulting counter in
+// its Options.Counter.
 //
-// Counting is contention-free: worker w touches only state indexed by w
-// (its partition, its counter shard), so the hot per-transaction path takes
-// no locks and sends no messages. The only synchronization is the
-// WaitGroup barrier at the end of each pass, where counters merge.
+//   - NewPassCounter splits an in-memory database into one partition per
+//     worker, once; every pass each worker scans its own partition.
+//   - NewStreamPassCounter re-reads a Scanner every pass (typically a
+//     dataset.FileScanner) on the mining goroutine and hands batches of
+//     transactions to the workers.
+//
+// Counting is contention-free: a worker writes only its own counter shard,
+// so the hot per-transaction path takes no locks and sends no messages
+// beyond the stream feed's batches. A worker panic is recovered on its
+// goroutine and re-raised on the mining goroutine at the barrier wrapped in
+// *mfi.WorkerPanic, so the mining boundary returns it as an error instead
+// of the panic killing the process from an anonymous goroutine.
 package parallel
 
 import (
-	"context"
+	"errors"
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
-	"pincer/internal/apriori"
-	"pincer/internal/checkpoint"
 	"pincer/internal/counting"
 	"pincer/internal/dataset"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
-	"pincer/internal/obsv"
 )
 
-// Options configures parallel mining.
-type Options struct {
-	// Workers is the number of counting goroutines (default: GOMAXPROCS).
-	Workers int
-	// Engine is the per-worker counting engine.
-	Engine counting.Engine
-	// KeepFrequent retains the frequent set (passed through to the miner).
-	KeepFrequent bool
-	// Tracer receives per-pass trace events; nil disables tracing (no
-	// timestamps are taken).
-	Tracer obsv.Tracer
-	// Context cancels the run at pass boundaries and inside every worker's
-	// scan loop (each worker checks independently every CancelCheckEvery
-	// transactions); cancellation surfaces as a *mfi.PartialResultError.
-	Context context.Context
-	// Deadline, if positive, bounds the run's wall clock via a timeout
-	// context derived from Context.
-	Deadline time.Duration
-	// CancelCheckEvery is the per-worker number of transactions between
-	// in-scan context checks (default mfi.DefaultCancelCheckEvery).
-	CancelCheckEvery int
-	// Checkpointer, for the MinePincer* family, persists pass-barrier state
-	// for MinePincerResume / MinePincerFileResume (ignored by MineApriori,
-	// which supports cancellation but not checkpointing).
-	Checkpointer checkpoint.Checkpointer
+// NewPassCounter builds the count-distribution counter over an in-memory
+// database for a miner's Options.Counter. The database is split once into
+// workers contiguous partitions (fewer when it has fewer transactions;
+// workers ≤ 0 means GOMAXPROCS), and every pass reuses them.
+func NewPassCounter(d *dataset.Dataset, workers int) counting.PassCounter {
+	return counting.NewFeedCounter(newPartitions(d, resolve(workers)))
 }
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options {
-	return Options{Engine: counting.EngineHashTree, KeepFrequent: true}
+// NewStreamPassCounter builds the streaming count-distribution counter for
+// a miner's Options.Counter. Unlike NewPassCounter it does not materialize
+// the database: sc is re-scanned every pass by one reader feeding workers
+// counting goroutines (workers ≤ 0 means GOMAXPROCS), making it the
+// parallel counterpart of mining straight from a dataset.FileScanner.
+func NewStreamPassCounter(sc dataset.Scanner, workers int) counting.PassCounter {
+	return counting.NewFeedCounter(&stream{sc: sc, workers: resolve(workers)})
 }
 
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+// resolve maps a requested worker count to an effective one.
+func resolve(workers int) int {
+	if workers > 0 {
+		return workers
 	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(runtime.GOMAXPROCS(0), 1)
 }
 
-// partitions is the horizontally partitioned database: one contiguous
-// transaction slice (with precomputed bitsets) per worker. It is the unit
-// of count distribution — worker w scans exactly parts[w] every pass.
+// partitions is the in-memory feed: one contiguous transaction slice, with
+// its precomputed bitsets, per shard. Worker w scans exactly parts[w] every
+// pass.
 type partitions struct {
-	parts    [][]itemset.Itemset
-	bits     [][]*itemset.Bitset
-	numItems int
-	total    int
+	parts [][]itemset.Itemset
+	bits  [][]*itemset.Bitset
 }
 
-// newPartitions splits the dataset into per-worker slices. The number of
-// partitions may be lower than workers when the database is smaller than
-// the worker count.
-func newPartitions(d *dataset.Dataset, workers int) *partitions {
-	p := &partitions{numItems: d.NumItems(), total: d.Len()}
-	for _, part := range d.Partitions(workers) {
+func newPartitions(d *dataset.Dataset, n int) *partitions {
+	p := &partitions{}
+	for _, part := range d.Partitions(n) {
 		p.parts = append(p.parts, part.Transactions())
 		p.bits = append(p.bits, part.Bitsets())
 	}
 	return p
 }
 
-// workers returns the effective worker count (= number of partitions).
-func (p *partitions) workers() int { return len(p.parts) }
+func (p *partitions) Shards() int { return len(p.parts) }
 
-// each runs fn once per partition, one goroutine each, and waits for all of
-// them — one distributed database pass. fn receives the worker index w; the
-// contention-free discipline is that everything fn writes must be indexed
-// by w (a counter shard, a private slice), never shared.
-//
-// A panic inside a worker is recovered on that goroutine, and the first one
-// is re-raised on the calling goroutine at the barrier wrapped in
-// *mfi.WorkerPanic, so the mining boundary converts it into a returned
-// error instead of the panic killing the process from an anonymous
-// goroutine (where no caller's recover could see it).
-func (p *partitions) each(fn func(w int, txs []itemset.Itemset, bits []*itemset.Bitset)) {
-	var wg sync.WaitGroup
-	var once sync.Once
-	var wp *mfi.WorkerPanic
-	for i := range p.parts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() {
-						wp = &mfi.WorkerPanic{Value: r, Stack: debug.Stack()}
-					})
-				}
-			}()
-			fn(w, p.parts[w], p.bits[w])
-		}(i)
+func (p *partitions) Pass(open func(int) func(itemset.Itemset, *itemset.Bitset)) {
+	wait := start(len(p.parts), func(w int) {
+		add := open(w)
+		for j, tx := range p.parts[w] {
+			add(tx, p.bits[w][j])
+		}
+	}, nil)
+	if wp := wait(); wp != nil {
+		panic(wp)
 	}
-	wg.Wait()
+}
+
+// streamBatch is the number of transactions handed to a worker at once; it
+// amortizes channel synchronization without holding a large fraction of the
+// database in flight.
+const streamBatch = 512
+
+// errAbortScan is the sentinel the reader panics with to abandon a Scan
+// mid-pass once a worker has already failed; Pass swallows it (the
+// worker's panic is the one reported).
+var errAbortScan = errors.New("parallel: scan aborted by worker failure")
+
+// stream is the file-backed feed, for databases that cannot be partitioned
+// up front because each pass re-reads the file. The mining goroutine scans
+// sc and sends batches of transactions to a channel the workers drain.
+//
+// The Scanner's per-transaction bitset is a reused buffer and never crosses
+// a goroutine: each worker rebuilds the dense form in a private bitset.
+//
+// A mid-pass *dataset.FileScanError panic arises on the mining goroutine
+// and propagates from there. A worker panic makes the reader abandon the
+// scan and is re-raised at the barrier wrapped in *mfi.WorkerPanic.
+type stream struct {
+	sc      dataset.Scanner
+	workers int
+}
+
+func (s *stream) Shards() int { return s.workers }
+
+func (s *stream) Pass(open func(int) func(itemset.Itemset, *itemset.Bitset)) {
+	// Two batches in flight per worker keep the reader ahead of the
+	// counters without holding much of the database in memory.
+	ch := make(chan []itemset.Itemset, 2*s.workers)
+	done := make(chan struct{})
+	wait := start(s.workers, func(w int) {
+		add := open(w)
+		bits := itemset.NewBitset(s.sc.NumItems())
+		for batch := range ch {
+			for _, tx := range batch {
+				bits.Clear()
+				for _, it := range tx {
+					bits.Add(it)
+				}
+				add(tx, bits)
+			}
+		}
+	}, func() { close(done) })
+
+	send := func(batch []itemset.Itemset) {
+		select {
+		case ch <- batch:
+		case <-done:
+			// A worker already failed; unwind out of sc.Scan. The sentinel
+			// is swallowed below and the worker's panic reported instead.
+			panic(errAbortScan)
+		}
+	}
+	var scanPanic interface{}
+	func() {
+		defer close(ch)
+		defer func() {
+			if r := recover(); r != nil && r != errAbortScan {
+				scanPanic = r
+			}
+		}()
+		batch := make([]itemset.Itemset, 0, streamBatch)
+		s.sc.Scan(func(tx itemset.Itemset, _ *itemset.Bitset) {
+			batch = append(batch, tx)
+			if len(batch) == streamBatch {
+				send(batch)
+				batch = make([]itemset.Itemset, 0, streamBatch)
+			}
+		})
+		if len(batch) > 0 {
+			send(batch)
+		}
+	}()
+	wp := wait()
+	if scanPanic != nil {
+		panic(scanPanic)
+	}
 	if wp != nil {
 		panic(wp)
 	}
 }
 
-// MineApriori runs count-distribution Apriori: pass structure identical to
-// the sequential algorithm, counting distributed over Workers goroutines
-// with a private counter shard per worker. A non-nil error reports a
-// captured worker panic or counter-merge mismatch (see
-// mfi.RecoverMiningError).
-func MineApriori(d *dataset.Dataset, minSupport float64, opt Options) (_ *mfi.Result, err error) {
-	defer mfi.RecoverMiningError(&err)
-	ctx := opt.Context
-	var cancel context.CancelFunc
-	if opt.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
+// start runs fn(w) for every w < n, each on its own goroutine, and returns
+// a wait that blocks until all of them have returned. A panic is recovered
+// on its worker's goroutine; wait reports the first one as an
+// *mfi.WorkerPanic with that worker's stack, and failed (when non-nil) is
+// called once, as soon as it happens.
+func start(n int, fn func(w int), failed func()) (wait func() *mfi.WorkerPanic) {
+	var wg sync.WaitGroup
+	var once sync.Once
+	var wp *mfi.WorkerPanic
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					stack := debug.Stack()
+					once.Do(func() {
+						wp = &mfi.WorkerPanic{Value: r, Stack: stack}
+						if failed != nil {
+							failed()
+						}
+					})
+				}
+			}()
+			fn(w)
+		}()
 	}
-	if cancel != nil {
-		defer cancel()
+	return func() *mfi.WorkerPanic {
+		wg.Wait()
+		return wp
 	}
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil // uncancellable: skip every check
-	}
-	start := time.Now()
-	minCount := d.MinCount(minSupport)
-	p := newPartitions(d, opt.workers())
-
-	res := &mfi.Result{MinCount: minCount, NumTransactions: d.Len(), Frequent: itemset.NewSet(0)}
-	res.Stats.Algorithm = "apriori-parallel"
-
-	tr := opt.Tracer
-	var scanDur time.Duration
-	pass := func(fn func(w int, txs []itemset.Itemset, bits []*itemset.Bitset)) {
-		if tr == nil {
-			p.each(fn)
-			return
-		}
-		t0 := time.Now()
-		p.each(fn)
-		scanDur = time.Since(t0)
-	}
-	emit := func() {
-		if tr == nil {
-			return
-		}
-		ps := res.Stats.PassDetails[len(res.Stats.PassDetails)-1]
-		d := scanDur
-		scanDur = 0
-		tr.PassDone(obsv.PassEvent{
-			Algorithm:    res.Stats.Algorithm,
-			Pass:         ps.Pass,
-			Phase:        obsv.PhaseBottomUp,
-			Candidates:   ps.Candidates,
-			Frequent:     ps.Frequent,
-			Infrequent:   ps.Candidates - ps.Frequent,
-			MFSFound:     ps.MFSFound,
-			ScanDuration: d,
-			Workers:      p.workers(),
-		})
-	}
-	if tr != nil {
-		tr.RunStart(obsv.RunInfo{
-			Algorithm:       res.Stats.Algorithm,
-			Workers:         p.workers(),
-			MinCount:        minCount,
-			NumTransactions: d.Len(),
-		})
-	}
-
-	var lk []itemset.Itemset
-	counts := make(map[string]int64)
-	note := func(x itemset.Itemset, c int64) {
-		counts[x.Key()] = c
-		if opt.KeepFrequent {
-			res.Frequent.AddWithCount(x, c)
-		}
-	}
-	var all []itemset.Itemset
-	// finish assembles the result from the frequent sets found so far; it
-	// serves both the normal return and the abort recovery below.
-	finish := func() {
-		res.MFS = itemset.MaximalOnly(all)
-		res.MFSSupports = make([]int64, len(res.MFS))
-		for i, m := range res.MFS {
-			res.MFSSupports[i] = counts[m.Key()]
-		}
-		if !opt.KeepFrequent {
-			res.Frequent = nil
-		}
-		res.Stats.Duration = time.Since(start)
-	}
-	// Cancellation raises an Abort — at a pass boundary on this goroutine,
-	// or inside a worker (captured and re-raised at the barrier wrapped in
-	// *mfi.WorkerPanic, which AbortFrom unwraps). Either way it becomes a
-	// *mfi.PartialResultError; Apriori keeps no MFCS, so the bound is nil.
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		ab := mfi.AbortFrom(r)
-		if ab == nil {
-			panic(r)
-		}
-		finish()
-		if tr != nil {
-			tr.RunDone(obsv.RunSummary{
-				Algorithm:  res.Stats.Algorithm,
-				Passes:     res.Stats.Passes,
-				Candidates: res.Stats.Candidates,
-				MFSSize:    len(res.MFS),
-				Duration:   res.Stats.Duration,
-				Aborted:    true, AbortReason: ab.Reason,
-			})
-		}
-		err = &mfi.PartialResultError{
-			Result: res, Pass: res.Stats.Passes, Reason: ab.Reason, Cause: ab.Cause,
-		}
-	}()
-
-	// Pass 1: per-worker item arrays, merged at the barrier.
-	mfi.CheckContext(ctx)
-	arrays := make([]*counting.ItemArray, p.workers())
-	pass(func(w int, txs []itemset.Itemset, _ []*itemset.Bitset) {
-		guard := mfi.NewScanGuard(ctx, opt.CancelCheckEvery)
-		arrays[w] = counting.NewItemArray(d.NumItems())
-		for _, tx := range txs {
-			guard.Tick()
-			arrays[w].Add(tx)
-		}
-	})
-	itemCounts := make([]int64, d.NumItems())
-	for _, a := range arrays {
-		counting.SumInto(itemCounts, a.Counts())
-	}
-	for i, c := range itemCounts {
-		if c >= minCount {
-			s := itemset.Itemset{itemset.Item(i)}
-			lk = append(lk, s)
-			all = append(all, s)
-			note(s, c)
-		}
-	}
-	res.Stats.AddPass(mfi.PassStats{Candidates: d.NumItems(), Frequent: len(lk)})
-	emit()
-
-	// Passes ≥ 2: sharded counting over Apriori-gen candidates. (The
-	// triangular-matrix pass-2 shortcut is omitted here: sharding the flat
-	// candidate list keeps the code uniform; pass accounting is unchanged.)
-	for len(lk) > 1 {
-		mfi.CheckContext(ctx)
-		ck := apriori.Gen(lk, itemset.SetOf(lk...))
-		if len(ck) == 0 {
-			break
-		}
-		ctr := counting.NewSharded(opt.Engine, ck, p.workers())
-		pass(func(w int, txs []itemset.Itemset, _ []*itemset.Bitset) {
-			guard := mfi.NewScanGuard(ctx, opt.CancelCheckEvery)
-			sh := ctr.Shard(w)
-			for _, tx := range txs {
-				guard.Tick()
-				sh.Add(tx)
-			}
-		})
-		merged := ctr.Counts()
-		var next []itemset.Itemset
-		for i, c := range ck {
-			if merged[i] >= minCount {
-				next = append(next, c)
-				all = append(all, c)
-				note(c, merged[i])
-			}
-		}
-		res.Stats.AddPass(mfi.PassStats{Candidates: len(ck), Frequent: len(next)})
-		emit()
-		if len(next) == 0 {
-			break
-		}
-		lk = next
-	}
-
-	finish()
-	if tr != nil {
-		tr.RunDone(obsv.RunSummary{
-			Algorithm:  res.Stats.Algorithm,
-			Passes:     res.Stats.Passes,
-			Candidates: res.Stats.Candidates,
-			MFSSize:    len(res.MFS),
-			Duration:   res.Stats.Duration,
-		})
-	}
-	return res, nil
 }

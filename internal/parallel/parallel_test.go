@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pincer/internal/apriori"
+	"pincer/internal/core"
 	"pincer/internal/dataset"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
@@ -19,9 +20,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	})
 	seq := must(apriori.Mine(dataset.NewScanner(d), 0.02, apriori.DefaultOptions()))
 	for _, workers := range []int{1, 2, 4, 7} {
-		opt := DefaultOptions()
-		opt.Workers = workers
-		par := must(MineApriori(d, 0.02, opt))
+		par := mineApriori(d, 0.02, apriori.DefaultOptions(), workers)
 		if err := mfi.VerifyAgainst(par.MFS, seq.MFS); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -36,25 +35,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		})
 		// pass structure identical to sequential level-wise mining: the
-		// parallel variant skips the triangle shortcut, so compare against
-		// the candidate-per-level structure rather than raw pass count.
-		if par.Stats.Passes < seq.Stats.Passes {
-			t.Errorf("workers=%d: fewer passes (%d) than sequential (%d)?", workers, par.Stats.Passes, seq.Stats.Passes)
+		// same miner runs, only its counter differs.
+		if par.Stats.Passes != seq.Stats.Passes || par.Stats.Candidates != seq.Stats.Candidates {
+			t.Errorf("workers=%d: passes/candidates %d/%d, sequential %d/%d", workers,
+				par.Stats.Passes, par.Stats.Candidates, seq.Stats.Passes, seq.Stats.Candidates)
 		}
 	}
 }
 
 func TestParallelEdgeCases(t *testing.T) {
 	// empty database
-	res := must(MineApriori(dataset.Empty(5), 0.5, DefaultOptions()))
+	res := mineApriori(dataset.Empty(5), 0.5, apriori.DefaultOptions(), 0)
 	if len(res.MFS) != 0 {
 		t.Errorf("empty MFS = %v", res.MFS)
 	}
 	// fewer transactions than workers
 	d := dataset.New([]dataset.Transaction{itemset.New(1, 2), itemset.New(1, 2)})
-	opt := DefaultOptions()
-	opt.Workers = 16
-	res = must(MineApriori(d, 1.0, opt))
+	opt := apriori.DefaultOptions()
+	res = mineApriori(d, 1.0, opt, 16)
 	if err := mfi.VerifyAgainst(res.MFS, []itemset.Itemset{itemset.New(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func TestParallelEdgeCases(t *testing.T) {
 	}
 	// KeepFrequent=false
 	opt.KeepFrequent = false
-	res = must(MineApriori(d, 1.0, opt))
+	res = mineApriori(d, 1.0, opt, 16)
 	if res.Frequent != nil {
 		t.Error("Frequent retained")
 	}
@@ -87,15 +85,28 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 			d.Append(itemset.New(items...))
 		}
 		sup := 0.05 + r.Float64()*0.4
-		opt := DefaultOptions()
-		opt.Workers = 1 + r.Intn(6)
-		par := must(MineApriori(d, sup, opt))
+		par := mineApriori(d, sup, apriori.DefaultOptions(), 1+r.Intn(6))
 		seq := must(apriori.Mine(dataset.NewScanner(d), sup, apriori.DefaultOptions()))
 		return mfi.VerifyAgainst(par.MFS, seq.MFS) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mineApriori runs the Apriori miner with opt, counting each pass over
+// workers goroutines.
+func mineApriori(d *dataset.Dataset, minSupport float64, opt apriori.Options, workers int) *mfi.Result {
+	opt.Counter = NewPassCounter(d, workers)
+	return must(apriori.Mine(dataset.NewScanner(d), minSupport, opt))
+}
+
+// minePincer runs the Pincer-Search miner with copt, counting each pass
+// over workers goroutines.
+func minePincer(d *dataset.Dataset, minSupport float64, copt core.Options, workers int) *mfi.Result {
+	copt.Algorithm = "pincer-parallel"
+	copt.Counter = NewPassCounter(d, workers)
+	return must(core.Mine(dataset.NewScanner(d), minSupport, copt))
 }
 
 // must unwraps the (result, error) mining returns; in-memory test scans

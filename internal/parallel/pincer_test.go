@@ -101,9 +101,7 @@ func TestMinePincerMatchesSequential(t *testing.T) {
 		copt := core.DefaultOptions()
 		seq := must(core.Mine(dataset.NewScanner(d), wl.support, copt))
 		for _, workers := range []int{1, 2, 4, 7} {
-			opt := DefaultOptions()
-			opt.Workers = workers
-			par := must(MinePincer(d, wl.support, opt))
+			par := minePincer(d, wl.support, copt, workers)
 			label := wl.params.Name()
 			comparePincerResults(t, label+"/workers="+strconv.Itoa(workers), par, seq)
 			if par.Stats.Algorithm != "pincer-parallel" {
@@ -118,15 +116,12 @@ func TestMinePincerKeepFrequentOff(t *testing.T) {
 		NumTransactions: 200, AvgTxLen: 10, AvgPatternLen: 5,
 		NumPatterns: 10, NumItems: 40, Seed: 3,
 	})
-	opt := DefaultOptions()
-	opt.Workers = 3
-	opt.KeepFrequent = false
-	par := must(MinePincer(d, 0.08, opt))
+	copt := core.DefaultOptions()
+	copt.KeepFrequent = false
+	par := minePincer(d, 0.08, copt, 3)
 	if par.Frequent != nil {
 		t.Error("Frequent retained with KeepFrequent=false")
 	}
-	copt := core.DefaultOptions()
-	copt.KeepFrequent = false
 	seq := must(core.Mine(dataset.NewScanner(d), 0.08, copt))
 	comparePincerResults(t, "keepfrequent-off", par, seq)
 }
@@ -141,23 +136,19 @@ func TestMinePincerPure(t *testing.T) {
 	copt := core.DefaultOptions()
 	copt.Pure = true
 	seq := must(core.Mine(dataset.NewScanner(d), 0.10, copt))
-	opt := DefaultOptions()
-	opt.Workers = 4
-	par := must(MinePincerOpts(d, 0.10, copt, opt))
+	par := minePincer(d, 0.10, copt, 4)
 	comparePincerResults(t, "pure", par, seq)
 }
 
 func TestMinePincerEdgeCases(t *testing.T) {
 	// empty database
-	res := must(MinePincer(dataset.Empty(5), 0.5, DefaultOptions()))
+	res := minePincer(dataset.Empty(5), 0.5, core.DefaultOptions(), 0)
 	if len(res.MFS) != 0 {
 		t.Errorf("empty MFS = %v", res.MFS)
 	}
 	// fewer transactions than workers
 	d := dataset.New([]dataset.Transaction{itemset.New(1, 2), itemset.New(1, 2)})
-	opt := DefaultOptions()
-	opt.Workers = 16
-	res = must(MinePincer(d, 1.0, opt))
+	res = minePincer(d, 1.0, core.DefaultOptions(), 16)
 	if err := mfi.VerifyAgainst(res.MFS, []itemset.Itemset{itemset.New(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +156,9 @@ func TestMinePincerEdgeCases(t *testing.T) {
 		t.Errorf("support = %d", res.MFSSupports[0])
 	}
 	// explicit count threshold
-	res = must(MinePincerCount(d, 2, core.DefaultOptions(), opt))
+	copt := core.DefaultOptions()
+	copt.Counter = NewPassCounter(d, 16)
+	res = must(core.MineCount(dataset.NewScanner(d), 2, copt))
 	if err := mfi.VerifyAgainst(res.MFS, []itemset.Itemset{itemset.New(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +192,12 @@ func TestTidListCounterMatchesScan(t *testing.T) {
 			got := must(core.MineCount(dataset.NewScanner(d), minCount, copt))
 			comparePincerResults(t, label+"/tidlist-"+m.name, got, seq)
 		}
-		// Same counter injected through the parallel driver: the counting
-		// stage runs vertically, the candidate stages still shard.
+		// Same counter at two workers under the parallel label, as pincerd's
+		// parallel miner runs it when tid-list counting is asked for.
 		copt := core.DefaultOptions()
+		copt.Algorithm = "pincer-parallel"
 		copt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: 2})
-		popt := DefaultOptions()
-		popt.Workers = 2
-		par := must(MinePincerCount(d, minCount, copt, popt))
+		par := must(core.MineCount(dataset.NewScanner(d), minCount, copt))
 		comparePincerResults(t, label+"/tidlist-parallel-w2", par, seq)
 	}
 }

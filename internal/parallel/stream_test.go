@@ -41,6 +41,14 @@ func writeBasket(t *testing.T, d *dataset.Dataset) string {
 	return path
 }
 
+// mineFile runs the Pincer-Search miner over sc at 5% support, counting
+// each pass with the streaming counter over workers goroutines.
+func mineFile(sc dataset.Scanner, copt core.Options, workers int) (*mfi.Result, error) {
+	copt.Algorithm = "pincer-parallel"
+	copt.Counter = NewStreamPassCounter(sc, workers)
+	return core.Mine(sc, 0.05, copt)
+}
+
 // TestMinePincerFileMatchesSequential is the correctness property of the
 // streaming count-distribution strategy: identical results and pass metrics
 // to the sequential miner, at every worker count.
@@ -54,9 +62,7 @@ func TestMinePincerFileMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := DefaultOptions()
-		opt.Workers = workers
-		par, err := MinePincerFile(fs, 0.05, copt, opt)
+		par, err := mineFile(fs, copt, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -117,9 +123,7 @@ func TestMinePincerFileCorruptedMidRunReturnsError(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc := &streamCorruptScanner{fs: fs, path: path, after: 1}
-			opt := DefaultOptions()
-			opt.Workers = workers
-			res, err := MinePincerFile(sc, 0.05, core.DefaultOptions(), opt)
+			res, err := mineFile(sc, core.DefaultOptions(), workers)
 			if err == nil {
 				t.Fatal("mining a corrupted file reported no error")
 			}
@@ -138,11 +142,12 @@ func TestMinePincerFileCorruptedMidRunReturnsError(t *testing.T) {
 // the streaming counter: a panic inside a counting goroutine is re-raised at
 // the barrier as *mfi.WorkerPanic and converted to an error at the boundary.
 func TestStreamWorkerPanicSurfacesAsError(t *testing.T) {
-	d := streamTestDB()
-	s := &streamPassCounter{sc: dataset.NewScanner(d), workers: 4}
+	s := &stream{sc: dataset.NewScanner(streamTestDB()), workers: 4}
 	err := func() (err error) {
 		defer mfi.RecoverMiningError(&err)
-		s.distribute(func(w int, tx itemset.Itemset) { panic("worker boom") })
+		s.Pass(func(int) func(itemset.Itemset, *itemset.Bitset) {
+			return func(itemset.Itemset, *itemset.Bitset) { panic("worker boom") }
+		})
 		return nil
 	}()
 	var wp *mfi.WorkerPanic
@@ -163,7 +168,7 @@ func TestPartitionWorkerPanicSurfacesAsError(t *testing.T) {
 	p := newPartitions(streamTestDB(), 4)
 	err := func() (err error) {
 		defer mfi.RecoverMiningError(&err)
-		p.each(func(w int, txs []itemset.Itemset, bits []*itemset.Bitset) { panic("boom") })
+		p.Pass(func(int) func(itemset.Itemset, *itemset.Bitset) { panic("boom") })
 		return nil
 	}()
 	var wp *mfi.WorkerPanic
@@ -209,12 +214,12 @@ func TestConcurrentScrapeDuringParallelMine(t *testing.T) {
 	}
 
 	d := streamTestDB()
-	opt := DefaultOptions()
-	opt.Workers = 4
+	opt := core.DefaultOptions()
 	opt.Tracer = tracer
 	const runs = 3
 	for i := 0; i < runs; i++ {
-		if _, err := MinePincer(d, 0.05, opt); err != nil {
+		opt.Counter = NewPassCounter(d, 4)
+		if _, err := core.Mine(dataset.NewScanner(d), 0.05, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -337,8 +337,9 @@ type Job struct {
 	resume bool
 
 	// data is the parsed dataset; nil for spool-recovered jobs until the
-	// worker re-reads the spec. prof is its shape profile, memoized by the
-	// dataset cache at insert time (zero until data is set).
+	// worker re-reads the spec, and again once the job has left the queue
+	// (see release). prof is its shape profile, memoized by the dataset
+	// cache at insert time (zero until data is set).
 	data *dataset.Dataset
 	prof dataset.Profile
 
@@ -354,6 +355,18 @@ type Job struct {
 	anytimeMFS  []ItemsetDoc
 	created     time.Time
 	finished    time.Time
+}
+
+// release drops the job's inline baskets and parsed dataset once it has
+// left the queue for good. The job table keeps every finished job, so a
+// database held here would stay reachable after the dataset cache evicted
+// it and escape that cache's byte bound; the .job spool file still holds
+// the spec, and nothing else reads either field again.
+func (j *Job) release() {
+	j.mu.Lock()
+	j.Spec.Baskets = ""
+	j.data = nil
+	j.mu.Unlock()
 }
 
 // setStatus transitions the job (no validation: the manager owns the

@@ -103,8 +103,10 @@ func newManager(cfg Config, reg *obsv.Registry) (*Manager, error) {
 	m.queue = make(chan *Job, capacity)
 	for _, jf := range pending {
 		if rec := records[jf.ID]; rec != nil {
-			// Terminal before the restart: reload so GET keeps answering.
+			// Terminal before the restart: reload so GET keeps answering,
+			// without the inline baskets a finished job never reads again.
 			j := &Job{ID: jf.ID, Spec: jf.Spec, Key: jf.Key, status: rec.Status, err: rec.Error, doc: rec.Doc}
+			j.Spec.Baskets = ""
 			m.jobs[jf.ID] = j
 			continue
 		}
@@ -177,6 +179,7 @@ func (m *Manager) Submit(spec JobRequest) (*Job, error) {
 		hit.ID = id
 		hit.Cached = true
 		j := &Job{ID: id, Spec: spec, Key: key, status: StatusDone, doc: &hit, created: time.Now()}
+		j.Spec.Baskets = "" // finished on arrival: the bytes are never read again
 		j.finished = j.created
 		m.jobs[id] = j
 		m.met.cacheHits.Inc()
@@ -320,18 +323,19 @@ func (m *Manager) worker() {
 	defer m.wg.Done()
 	for j := range m.queue {
 		m.met.queueDepth.Set(int64(len(m.queue)))
-		if m.currentState() == stateAborting {
+		switch {
+		case m.currentState() == stateAborting:
 			// Leave the spool entry and checkpoint: the next daemon start
 			// resumes this job exactly where its checkpoint left it.
 			if j.Status() == StatusQueued {
 				j.setStatus(StatusInterrupted)
 			}
-			continue
+		case j.Status() != StatusQueued:
+			// cancelled while waiting; already finalized
+		default:
+			m.runJob(j)
 		}
-		if j.Status() != StatusQueued {
-			continue // cancelled while waiting; already finalized
-		}
-		m.runJob(j)
+		j.release()
 	}
 }
 
@@ -424,7 +428,10 @@ func (m *Manager) mine(ctx context.Context, j *Job) (*mfi.Result, error) {
 		}
 	}
 	switch spec.Miner {
-	case MinerPincer:
+	case MinerPincer, MinerParallel:
+		// The parallel miner is the pincer miner counting each pass over
+		// Workers goroutines (0 = GOMAXPROCS); tid-list counting, when
+		// asked for, takes the workers instead.
 		opt := core.DefaultOptions()
 		opt.Engine = spec.engine()
 		opt.KeepFrequent = false
@@ -435,8 +442,13 @@ func (m *Manager) mine(ctx context.Context, j *Job) (*mfi.Result, error) {
 		opt.MaxCandidatesPerPass = spec.MaxCandidatesPerPass
 		opt.MaxMemoryBytes = spec.MaxMemoryBytes
 		opt.Checkpointer = ckpt
+		if spec.Miner == MinerParallel {
+			opt.Algorithm = "pincer-parallel"
+		}
 		if tidlist, rep := spec.counter(); tidlist {
-			opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Rep: rep})
+			opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: spec.Workers, Rep: rep})
+		} else if spec.Miner == MinerParallel {
+			opt.Counter = parallel.NewPassCounter(d, spec.Workers)
 		}
 		if spec.Cluster {
 			coord, cerr := cluster.NewCoordinator(j.ID, d, m.cfg.Cluster, tracer)
@@ -498,26 +510,6 @@ func (m *Manager) mine(ctx context.Context, j *Job) (*mfi.Result, error) {
 		// checkpoints.
 		fres := fpmax.MineMaximalCount(d, minCount, fpmax.DefaultOptions())
 		return &fres.Result, nil
-	case MinerParallel:
-		copt := core.DefaultOptions()
-		copt.MaxTotalPasses = spec.MaxPasses
-		copt.MaxCandidatesPerPass = spec.MaxCandidatesPerPass
-		copt.MaxMemoryBytes = spec.MaxMemoryBytes
-		popt := parallel.DefaultOptions()
-		popt.Workers = spec.Workers
-		popt.Engine = spec.engine()
-		popt.KeepFrequent = false
-		popt.Tracer = tracer
-		popt.Context = ctx
-		popt.Deadline = spec.deadline()
-		popt.Checkpointer = ckpt
-		if tidlist, rep := spec.counter(); tidlist {
-			copt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: spec.Workers, Rep: rep})
-		}
-		if j.resume {
-			return parallel.MinePincerResume(d, minCount, copt, popt)
-		}
-		return parallel.MinePincerCount(d, minCount, copt, popt)
 	}
 	return nil, fmt.Errorf("unknown miner %q", spec.Miner) // unreachable: normalize validated it
 }
@@ -552,6 +544,8 @@ func (m *Manager) finalize(j *Job, res *mfi.Result, err error) {
 			}
 		}
 	}
+	// record publishes the terminal status; each branch counts its outcome
+	// first, so a client that sees the status also sees it counted.
 	record := func(status string, doc *ResultDoc, errMsg string) {
 		j.mu.Lock()
 		j.status = status
@@ -576,8 +570,8 @@ func (m *Manager) finalize(j *Job, res *mfi.Result, err error) {
 		m.met.cacheEvictions.Add(m.cache.evictions - m.lastEvictions)
 		m.lastEvictions = m.cache.evictions
 		m.mu.Unlock()
-		record(StatusDone, doc, "")
 		m.met.jobsCompleted.Inc()
+		record(StatusDone, doc, "")
 		m.logf("job %s: done (%d maximal sets, %d passes)", j.ID, len(res.MFS), res.Stats.Passes)
 		return
 	}
@@ -596,24 +590,24 @@ func (m *Manager) finalize(j *Job, res *mfi.Result, err error) {
 		case asked:
 			doc := buildDoc(j.ID, j.Spec, sel, pe.Result, pe)
 			doc.Cluster = cdoc
+			m.met.jobsCancelled.Inc()
 			record(StatusCancelled, doc, "")
 			clearCheckpoint()
-			m.met.jobsCancelled.Inc()
 			m.logf("job %s: cancelled at pass %d", j.ID, pe.Pass)
 		default:
 			doc := buildDoc(j.ID, j.Spec, sel, pe.Result, pe)
 			doc.Cluster = cdoc
+			m.met.jobsPartial.Inc()
 			record(StatusPartial, doc, "")
 			clearCheckpoint()
-			m.met.jobsPartial.Inc()
 			m.logf("job %s: stopped early (%s) at pass %d", j.ID, pe.Reason, pe.Pass)
 		}
 		return
 	}
 
+	m.met.jobsFailed.Inc()
 	record(StatusFailed, nil, err.Error())
 	clearCheckpoint()
-	m.met.jobsFailed.Inc()
 	m.logf("job %s: failed: %v", j.ID, err)
 }
 

@@ -191,6 +191,10 @@ func MineCount(sc dataset.Scanner, minCount int64, opt Options) (_ *Result, err 
 		}
 	}()
 
+	pc := counting.NewScanCounter(sc)
+	if ctx != nil {
+		pc.BindContext(ctx, opt.CancelCheckEvery)
+	}
 	seen := map[string]bool{}
 	for len(frontier) > 0 {
 		mfi.CheckContext(ctx)
@@ -204,26 +208,22 @@ func MineCount(sc dataset.Scanner, minCount int64, opt Options) (_ *Result, err 
 		for i, e := range frontier {
 			sets[i] = e.set
 		}
-		counter := counting.NewTrie(sets)
-		add := func(tx itemset.Itemset, _ *itemset.Bitset) { counter.Add(tx) }
-		if guard := mfi.NewScanGuard(ctx, opt.CancelCheckEvery); guard != nil {
-			inner := add
-			add = func(tx itemset.Itemset, bits *itemset.Bitset) {
-				guard.Tick()
-				inner(tx, bits)
-			}
-		}
+		var counts []int64
 		var scanDur time.Duration
 		if tr == nil {
-			sc.Scan(add)
+			counts, _ = pc.CountCandidates(counting.EngineTrie, sets, nil, nil)
 		} else {
 			t0 := time.Now()
-			sc.Scan(add)
+			counts, _ = pc.CountCandidates(counting.EngineTrie, sets, nil, nil)
 			scanDur = time.Since(t0)
 		}
-		counts := counter.Counts()
-
+		// Past MaxElements the run ends after this pass, so splitting stops
+		// there: the rest of the frontier is still classified (the pass's
+		// statistics and MFS stay exact), but no frontier beyond the budget
+		// is ever built.
 		var next []*frontierElement
+		full := func() bool { return opt.MaxElements > 0 && len(next) > opt.MaxElements }
+
 		mfsFound := 0
 		frequentHere := 0
 		for i, e := range frontier {
@@ -243,7 +243,7 @@ func MineCount(sc dataset.Scanner, minCount int64, opt Options) (_ *Result, err 
 				continue
 			}
 			// split one level down
-			for j := range e.set {
+			for j := 0; j < len(e.set) && !full(); j++ {
 				child := e.set.WithoutIndex(j)
 				if len(child) == 0 {
 					continue
@@ -280,7 +280,7 @@ func MineCount(sc dataset.Scanner, minCount int64, opt Options) (_ *Result, err 
 				Workers:      1,
 			})
 		}
-		if opt.MaxElements > 0 && len(next) > opt.MaxElements {
+		if full() {
 			res.Aborted = true
 			break
 		}

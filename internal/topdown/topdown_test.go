@@ -11,6 +11,7 @@ import (
 	"pincer/internal/dataset"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
+	"pincer/internal/obsv"
 )
 
 func TestTopDownLongMaximalIsFast(t *testing.T) {
@@ -164,5 +165,38 @@ func TestDeadlinePreemptsSplit(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("deadline did not preempt the frontier split within 15s")
+	}
+}
+
+// TestMaxElementsBoundsBuiltFrontier pins that MaxElements bounds the
+// frontier the miner builds, not only the one it keeps: over a wide
+// universe of sparse transactions the second pass would split 100
+// infrequent 99-item elements into C(100,2) = 4950 children, and the
+// budget must stop the splitting one element past it while the pass still
+// classifies its whole frontier.
+func TestMaxElementsBoundsBuiltFrontier(t *testing.T) {
+	const n = 100
+	r := rand.New(rand.NewSource(1))
+	d := dataset.Empty(n)
+	for i := 0; i < 50; i++ {
+		d.Append(itemset.New(itemset.Item(r.Intn(n)), itemset.Item(r.Intn(n)), itemset.Item(r.Intn(n))))
+	}
+	c := obsv.NewCollector()
+	opt := DefaultOptions()
+	opt.MaxElements = 150
+	opt.Tracer = c
+	res := must(MineCount(dataset.NewScanner(d), 2, opt))
+	if !res.Aborted {
+		t.Fatal("run over a 4950-element frontier did not abort at MaxElements=150")
+	}
+	passes := c.Passes()
+	if len(passes) != 2 || res.Stats.Passes != 2 {
+		t.Fatalf("passes = %d (events %d), want 2", res.Stats.Passes, len(passes))
+	}
+	if got := passes[1].MFCSSize; got > opt.MaxElements+1 {
+		t.Errorf("built frontier = %d elements, want ≤ MaxElements+1 = %d", got, opt.MaxElements+1)
+	}
+	if got := res.Stats.PassDetails[1].Candidates; got != n {
+		t.Errorf("pass 2 classified %d elements, want the whole frontier of %d", got, n)
 	}
 }

@@ -95,10 +95,26 @@ const (
 	EngineTrie     = counting.EngineTrie
 )
 
+// PassCounter is the per-pass support-counting seam of
+// PincerOptions.Counter and AprioriOptions.Counter (nil: one sequential
+// scan per pass). Every counter produces the counts of a sequential scan,
+// so the choice moves wall-clock time, never results.
+type PassCounter = core.PassCounter
+
+// NewParallelCounter builds the count-distribution pass counter over d:
+// every pass is counted by workers goroutines (≤ 0: GOMAXPROCS), each
+// scanning its own horizontal partition into private counters summed at
+// the pass barrier. Install it on PincerOptions.Counter or
+// AprioriOptions.Counter; the dataset must be the same one handed to the
+// miner.
+func NewParallelCounter(d *Dataset, workers int) PassCounter {
+	return parallel.NewPassCounter(d, workers)
+}
+
 // TidListCounter counts candidate supports by intersecting per-item tid
 // structures instead of rescanning the database. Install one on
-// PincerOptions.Counter (or ParallelOptions via the core options) to switch
-// the pincer miner to vertical counting; results are identical to scanning.
+// PincerOptions.Counter to switch the pincer miner to vertical counting;
+// results are identical to scanning.
 type TidListCounter = counting.TidListCounter
 
 // TidListOptions configures a TidListCounter (workers, representation).
@@ -155,16 +171,18 @@ func MineFile(path string, minSupport float64, opt PincerOptions) (*Result, erro
 	return core.Mine(sc, minSupport, opt)
 }
 
-// MineFileParallel is MineFile with streaming count distribution: one
-// reader goroutine re-reads the file each pass while popt.Workers
-// goroutines count. Results are identical to MineFile; only wall-clock
-// time changes.
-func MineFileParallel(path string, minSupport float64, opt PincerOptions, popt ParallelOptions) (*Result, error) {
+// MineFileParallel is MineFile with streaming count distribution: the
+// mining goroutine re-reads the file each pass while workers goroutines
+// (≤ 0: GOMAXPROCS) count. Results are identical to MineFile; only
+// wall-clock time changes.
+func MineFileParallel(path string, minSupport float64, opt PincerOptions, workers int) (*Result, error) {
 	sc, err := dataset.OpenFileScanner(path)
 	if err != nil {
 		return nil, err
 	}
-	return parallel.MinePincerFile(sc, minSupport, opt, popt)
+	opt.Algorithm = "pincer-parallel"
+	opt.Counter = parallel.NewStreamPassCounter(sc, workers)
+	return core.Mine(sc, minSupport, opt)
 }
 
 // mustMine strips the impossible error of an in-memory mining run: memory
@@ -293,63 +311,6 @@ func MineAprioriResume(ctx context.Context, d *Dataset, minSupport float64, opt 
 	return apriori.MineResume(sc, dataset.MinCountFor(sc.Len(), minSupport), opt)
 }
 
-// ParallelOptions configures count-distribution parallel mining: worker
-// count, per-worker counting engine, and frequent-set retention.
-type ParallelOptions = parallel.Options
-
-// DefaultParallelOptions returns the standard parallel configuration
-// (GOMAXPROCS workers, hash-tree engine).
-func DefaultParallelOptions() ParallelOptions { return parallel.DefaultOptions() }
-
-// MineParallel runs count-distribution parallel Pincer-Search: every
-// counting pass is distributed over opt.Workers goroutines scanning
-// horizontal partitions of the database, with per-worker counters merged at
-// the pass barrier. The result — MFS, supports, statistics — is identical
-// to Mine; only wall-clock time changes.
-//
-// Deprecated: MineParallel cannot report errors — a worker failure or an
-// early stop from cancellation, budget, or checkpoint options makes it
-// panic. Use MineParallelContext.
-func MineParallel(d *Dataset, minSupport float64, opt ParallelOptions) *Result {
-	return mustMine(parallel.MinePincer(d, minSupport, opt))
-}
-
-// MineParallelContext is MineParallel with cancellation and error
-// reporting. The context argument takes precedence over opt.Context.
-func MineParallelContext(ctx context.Context, d *Dataset, minSupport float64, opt ParallelOptions) (*Result, error) {
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	return parallel.MinePincer(d, minSupport, opt)
-}
-
-// MineParallelResume continues a checkpointed parallel run (see
-// ParallelOptions.Checkpointer); with no checkpoint on record it mines from
-// scratch.
-func MineParallelResume(ctx context.Context, d *Dataset, minSupport float64, opt ParallelOptions) (*Result, error) {
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	return parallel.MinePincerResume(d, d.MinCount(minSupport), core.DefaultOptions(), opt)
-}
-
-// MineAprioriParallel is the count-distribution parallel Apriori baseline.
-//
-// Deprecated: MineAprioriParallel cannot report errors — a worker failure
-// or cancellation makes it panic. Use MineAprioriParallelContext.
-func MineAprioriParallel(d *Dataset, minSupport float64, opt ParallelOptions) *Result {
-	return mustMine(parallel.MineApriori(d, minSupport, opt))
-}
-
-// MineAprioriParallelContext is MineAprioriParallel with cancellation and
-// error reporting. The context argument takes precedence over opt.Context.
-func MineAprioriParallelContext(ctx context.Context, d *Dataset, minSupport float64, opt ParallelOptions) (*Result, error) {
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	return parallel.MineApriori(d, minSupport, opt)
-}
-
 // PartialResultError is returned when a mine stops early — context
 // cancellation, deadline, or a resource budget. It carries the anytime
 // result: the frequent sets found so far (a lower bound on the MFS) and,
@@ -375,7 +336,7 @@ type Checkpointer = checkpoint.Checkpointer
 type FileCheckpointer = checkpoint.FileCheckpointer
 
 // NewFileCheckpointer builds a file-backed checkpointer; assign it to
-// PincerOptions.Checkpointer (or AprioriOptions/ParallelOptions) to
+// PincerOptions.Checkpointer (or AprioriOptions.Checkpointer) to
 // checkpoint a run, and reuse it with MineResume to continue.
 func NewFileCheckpointer(path string) *FileCheckpointer {
 	return checkpoint.NewFileCheckpointer(path)

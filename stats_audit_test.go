@@ -28,8 +28,6 @@ func TestStatsAuditAcrossMiners(t *testing.T) {
 		NumTransactions: 500, AvgTxLen: 10, AvgPatternLen: 6,
 		NumPatterns: 5, NumItems: 24, Seed: 3,
 	})
-	popt := parallel.DefaultOptions()
-	popt.Workers = 4
 
 	cases := []struct {
 		name string
@@ -48,10 +46,15 @@ func TestStatsAuditAcrossMiners(t *testing.T) {
 			return must(topdown.Mine(dataset.NewScanner(small), 0.10, topdown.DefaultOptions())).Stats
 		}},
 		{"parallel-pincer", func() mfi.Stats {
-			return must(parallel.MinePincer(d, 0.05, popt)).Stats
+			opt := core.DefaultOptions()
+			opt.Algorithm = "pincer-parallel"
+			opt.Counter = parallel.NewPassCounter(d, 4)
+			return must(core.Mine(dataset.NewScanner(d), 0.05, opt)).Stats
 		}},
 		{"parallel-apriori", func() mfi.Stats {
-			return must(parallel.MineApriori(d, 0.05, popt)).Stats
+			opt := apriori.DefaultOptions()
+			opt.Counter = parallel.NewPassCounter(d, 4)
+			return must(apriori.Mine(dataset.NewScanner(d), 0.05, opt)).Stats
 		}},
 	}
 	for _, tc := range cases {

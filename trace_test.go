@@ -97,10 +97,11 @@ func TestTraceEventsMirrorStats(t *testing.T) {
 			})
 			t.Run("parallel-pincer", func(t *testing.T) {
 				c := obsv.NewCollector()
-				popt := parallel.DefaultOptions()
-				popt.Workers = 3
-				popt.Tracer = c
-				res := must(parallel.MinePincer(d, 0.04, popt))
+				opt := core.DefaultOptions()
+				opt.Algorithm = "pincer-parallel"
+				opt.Counter = parallel.NewPassCounter(d, 3)
+				opt.Tracer = c
+				res := must(core.Mine(dataset.NewScanner(d), 0.04, opt))
 				checkTrace(t, c, res, 3)
 			})
 		})
