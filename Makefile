@@ -1,7 +1,8 @@
 # CI entry points. `make ci` is what the pipeline runs. The race target
 # covers the packages with concurrency: parallel (counting workers), core
 # and apriori (the miners those workers count for), obsv (metrics
-# scraping), fpmax, and counting's counter-agreement tests; the
+# scraping), fpmax, dataset (scanners shared by concurrent scans), and
+# counting's counter-agreement and trie-walk tests; the
 # fault-injection matrix re-runs race-clean because it interleaves kills
 # and cancellations with the parallel counting barriers.
 
@@ -23,12 +24,12 @@ test:
 
 # The counting package is filtered to its counter-agreement tests (the
 # engine-invariance property, the scan counter's shards, the sharded
-# engines, the tid-list counter): its steady-state allocation tests assert
-# tight per-candidate bounds that race-detector instrumentation pushes over
-# the line.
+# engines, the tid-list counter, the trie's two walks): its steady-state
+# allocation tests assert tight per-candidate bounds that race-detector
+# instrumentation pushes over the line.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/apriori/... ./internal/obsv/... ./internal/fpmax/...
-	$(GO) test -race -run 'TestEngineChoiceResultInvariant|TestScanCounter|TestSharded|TestTidListCounterMatchesSupport' ./internal/counting/
+	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/apriori/... ./internal/obsv/... ./internal/fpmax/... ./internal/dataset/...
+	$(GO) test -race -run 'TestEngineChoiceResultInvariant|TestScanCounter|TestSharded|TestTidListCounterMatchesSupport|TestTrieWalksMatchSupport' ./internal/counting/
 
 # Kill/cancel every miner at every pass boundary and mid-scan point and
 # assert that resuming from the checkpoint matches an uninterrupted run.

@@ -16,6 +16,7 @@ import (
 	"pincer/internal/core"
 	"pincer/internal/counting"
 	"pincer/internal/dataset"
+	"pincer/internal/itemset"
 	"pincer/internal/mfi"
 	"pincer/internal/parallel"
 	"pincer/internal/quest"
@@ -283,7 +284,14 @@ func BenchmarkRulesFromMFS(b *testing.B) {
 	}
 }
 
-// BenchmarkCountingEngines isolates the per-transaction counting cost.
+// BenchmarkCountingEngines isolates the per-transaction counting cost. The
+// border case counts the shape an incremental maintainer recounts after
+// every re-mine: the negative border of the MFS at 20% support on the same
+// 1,000-item database, nearly all infrequent singletons, so the trie's root
+// holds a key for almost every item and is far wider than any transaction.
+// The keys-per-item ratio at which the trie starts galloping through such a
+// node is set by internal/counting's BenchmarkTrieWalk, which can force
+// either walk.
 func BenchmarkCountingEngines(b *testing.B) {
 	d := concentratedDB(b)
 	res := must(apriori.Mine(dataset.NewScanner(d), 0.10, apriori.DefaultOptions()))
@@ -309,6 +317,18 @@ func BenchmarkCountingEngines(b *testing.B) {
 			}
 		})
 	}
+	mfs := must(core.Mine(dataset.NewScanner(d), 0.20, core.DefaultOptions())).MFS
+	border := mfi.NegativeBorder(itemset.Range(0, itemset.Item(d.NumItems())), mfi.Expand(mfs, 0))
+	b.Run(fmt.Sprintf("trie/border=%d", len(border)), func(b *testing.B) {
+		ctr := counting.NewTrie(border)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, tx := range d.Transactions() {
+				ctr.Add(tx)
+			}
+		}
+	})
 }
 
 // BenchmarkPassCounters compares the two support-counting strategies on a

@@ -157,7 +157,11 @@ func (m *MFCS) add(s itemset.Itemset) bool {
 	if len(s) == 0 {
 		return false
 	}
-	sb := itemset.BitsetOf(m.numItems, s)
+	return m.insert(s, itemset.BitsetOf(m.numItems, s))
+}
+
+// insert is add for a non-empty set whose dense form sb is already built.
+func (m *MFCS) insert(s itemset.Itemset, sb *itemset.Bitset) bool {
 	for _, e := range m.elems {
 		if sb.IsSubsetOf(e.bits) {
 			return false // already covered by an existing element
@@ -221,16 +225,73 @@ func (m *MFCS) Split(s itemset.Itemset) {
 }
 
 // Update runs MFCS-gen for a batch of newly discovered infrequent itemsets
-// (the S_k of a pass). It returns false if the structure exploded past its
-// cap mid-update.
+// (the S_k of a pass): the batch's singletons in one step (dropItems), then
+// each longer set through Split, in batch order. MFCS-gen's result does not
+// depend on the order of the sets — it is the maximal subsets of elements
+// that contain none of them — so, short of exploding past the cap, this
+// leaves the same elements as splitting by every set in turn. It returns
+// false if the structure exploded past its cap mid-update.
 func (m *MFCS) Update(infrequent []itemset.Itemset) bool {
+	m.dropItems(infrequent)
 	for _, s := range infrequent {
-		m.Split(s)
+		if len(s) > 1 {
+			m.Split(s)
+		}
 		if m.exploded {
 			return false
 		}
 	}
 	return true
+}
+
+// dropItems applies MFCS-gen for every singleton in the batch at once. A
+// singleton {i} splits an element holding i into exactly one child, the
+// element without i, so a run of singleton splits deletes from each element
+// every batch item it holds: one new itemset, bitset and resolver lookup
+// per element hit, however many of the items it holds. insert then removes
+// children covered by other elements. Deletion never adds elements, so it
+// cannot explode the structure.
+func (m *MFCS) dropItems(infrequent []itemset.Itemset) {
+	if m.exploded {
+		return
+	}
+	var drop *itemset.Bitset
+	for _, s := range infrequent {
+		if len(s) == 1 {
+			if drop == nil {
+				drop = itemset.NewBitset(m.numItems)
+			}
+			drop.Add(s[0])
+		}
+	}
+	if drop == nil {
+		return
+	}
+	var hit []*element
+	keep := m.elems[:0]
+	for _, e := range m.elems {
+		if e.bits.Intersects(drop) {
+			hit = append(hit, e)
+		} else {
+			keep = append(keep, e)
+		}
+	}
+	m.elems = keep
+	for _, e := range hit {
+		n := len(e.set) - e.bits.CountAnd(drop)
+		if n == 0 {
+			continue
+		}
+		child := make(itemset.Itemset, 0, n)
+		for _, it := range e.set {
+			if !drop.Contains(it) {
+				child = append(child, it)
+			}
+		}
+		bits := e.bits.Clone()
+		bits.AndNot(drop)
+		m.insert(child, bits)
+	}
 }
 
 // SplitSelf replaces an infrequent element by its |X| maximal proper

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,137 @@ func randomNonEmpty(r *rand.Rand, universe, maxLen int) itemset.Itemset {
 		if len(s) > 0 {
 			return s
 		}
+	}
+}
+
+// TestQuickUpdateMatchesSplitInOrder pins the one-step pass-1 MFCS-gen
+// (Update deletes a batch's singletons from every element at once) against
+// the paper's per-set procedure: on random MFCS states over a universe of
+// 64–127 items — elements of mixed lengths, some resolved, some counted,
+// some harvested — and random batches mixing singletons with longer sets,
+// Update leaves the same elements as Split called on each set in order,
+// each with the same state, count and harvested flag.
+func TestQuickUpdateMatchesSplitInOrder(t *testing.T) {
+	// A deterministic resolver answering for about a third of all sets, so
+	// that both kept elements and children come out resolved or not.
+	resolve := func(s itemset.Itemset) (int64, bool) {
+		var h uint32 = 2166136261
+		for _, it := range s {
+			h = (h ^ uint32(it)) * 16777619
+		}
+		if h%3 != 0 {
+			return 0, false
+		}
+		return int64(h>>8) % 5, true
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		universe := 64 + r.Intn(64)
+		var sets []itemset.Itemset
+		for i := 0; i < 1+r.Intn(12); i++ {
+			sets = append(sets, randomNonEmpty(r, universe, 1+r.Intn(universe/2)))
+		}
+		var elems []*element
+		seq := NewMFCS(universe, 2, 0, resolve)
+		seq.Replace(itemset.MaximalOnly(sets))
+		for _, e := range seq.elems {
+			switch r.Intn(4) {
+			case 0:
+				e.markCounted(int64(r.Intn(5)), 2)
+			case 1:
+				e.markCounted(int64(2+r.Intn(3)), 2)
+				e.harvested = true
+			}
+			elems = append(elems, e)
+		}
+		one := NewMFCS(universe, 2, 0, resolve)
+		one.elems = one.elems[:0]
+		for _, e := range elems {
+			c := *e
+			one.elems = append(one.elems, &c)
+		}
+		// The batch: singletons and 2–3-item sets drawn mostly from the
+		// elements' items, so that most of them hit something.
+		var batch []itemset.Itemset
+		for i := 0; i < 1+r.Intn(3*universe/4); i++ {
+			e := elems[r.Intn(len(elems))].set
+			pick := func() itemset.Item {
+				if r.Intn(4) == 0 {
+					return itemset.Item(r.Intn(universe))
+				}
+				return e[r.Intn(len(e))]
+			}
+			s := itemset.New(pick())
+			if r.Intn(3) == 0 {
+				s = itemset.New(pick(), pick(), pick())
+			}
+			batch = append(batch, s)
+		}
+		for _, s := range batch {
+			seq.Split(s)
+		}
+		one.Update(batch)
+		return sameElements(seq, one)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameElements reports whether a and b hold the same itemsets, each with
+// the same state, count and harvested flag.
+func sameElements(a, b *MFCS) bool {
+	if a.Len() != b.Len() || a.Exploded() != b.Exploded() {
+		return false
+	}
+	byKey := make(map[string]*element, a.Len())
+	for _, e := range a.elems {
+		byKey[e.set.Key()] = e
+	}
+	for _, e := range b.elems {
+		x, ok := byKey[e.set.Key()]
+		if !ok || x.state != e.state || x.count != e.count || x.harvested != e.harvested || !x.bits.Equal(e.bits) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMFCSPassOneAllocations pins pass 1's MFCS-gen on a benchmark-sized
+// universe: the universe element losing 980 infrequent items costs a fixed
+// handful of allocations and bytes, not one element copy, bitset and
+// support-cache key per item.
+func TestMFCSPassOneAllocations(t *testing.T) {
+	const n = 1000
+	var s1 []itemset.Itemset
+	for i := 0; i < n; i++ {
+		if i%50 != 0 {
+			s1 = append(s1, itemset.Itemset{itemset.Item(i)})
+		}
+	}
+	cache := map[string]int64{}
+	resolve := func(s itemset.Itemset) (int64, bool) {
+		c, ok := cache[s.Key()]
+		return c, ok
+	}
+	run := func() {
+		m := NewMFCS(n, 2, 0, resolve)
+		m.Update(s1)
+		if m.Len() != 1 || len(m.elems[0].set) != n-len(s1) {
+			t.Fatalf("MFCS after pass 1 = %v", m.Elements())
+		}
+	}
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("NewMFCS + Update(%d singletons): %.0f allocs, %d B", len(s1), allocs, bytes)
+	if allocs > 40 || bytes > 64<<10 {
+		t.Fatalf("NewMFCS + Update(%d singletons) = %.0f allocs, %d B; want ≤ 40 allocs and ≤ 64 KiB", len(s1), allocs, bytes)
 	}
 }

@@ -950,9 +950,11 @@ func (m *miner) abandon(frequentCk []itemset.Itemset) []itemset.Itemset {
 // fallbackFullApriori produces a guaranteed-correct result by running the
 // Apriori baseline, merging its statistics into this run's. It is the
 // safety net for pathological configurations; none of the benchmark
-// workloads trigger it. The sub-run inherits this run's context so
-// cancellation still lands, but never the Checkpointer: the fallback
-// replays deterministically from the last Pincer checkpoint on resume.
+// workloads trigger it. The sub-run inherits this run's context and
+// counter, so cancellation still lands and a tid-list, partitioned or
+// cluster run keeps counting its way, but never the Checkpointer: the
+// fallback replays deterministically from the last Pincer checkpoint on
+// resume.
 func (m *miner) fallbackFullApriori() {
 	m.fellBack = true
 	m.res.Stats.AdaptiveOff = true
@@ -961,6 +963,7 @@ func (m *miner) fallbackFullApriori() {
 	aopt.KeepFrequent = m.opt.KeepFrequent
 	aopt.Context = m.ctx
 	aopt.CancelCheckEvery = m.opt.CancelCheckEvery
+	aopt.Counter = m.opt.Counter
 	ares, err := apriori.MineCount(m.sc, m.minCount, aopt)
 	if err != nil {
 		if pe, ok := err.(*mfi.PartialResultError); ok {

@@ -131,16 +131,33 @@ func TestPincerFallbackAfterMFSFound(t *testing.T) {
 		d.Append(itemset.New(4, 6, 7))
 		d.Append(itemset.New(5, 6, 7))
 	}
-	opt := DefaultOptions()
-	opt.MFCSCap = 3
-	opt.IncrementalSplitMax = 1_000_000 // keep the incremental pass-2 path
-	res := must(MineCount(dataset.NewScanner(d), 2, opt))
-	if !res.Stats.AdaptiveOff {
-		t.Fatal("expected adaptive fallback")
-	}
 	ares := must(apriori.MineCount(dataset.NewScanner(d), 2, apriori.DefaultOptions()))
-	if err := mfi.VerifyAgainst(res.MFS, ares.MFS); err != nil {
-		t.Fatalf("fallback result wrong: %v (got %v, want %v)", err, res.MFS, ares.MFS)
+	for _, tc := range []struct {
+		name    string
+		counter PassCounter
+	}{
+		{"scan", nil},
+		// The fallback counts through the run's counter too, so a tid-list
+		// run never reads the Scanner.
+		{"tidlist", counting.NewTidListCounter(d, counting.TidListOptions{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.MFCSCap = 3
+			opt.IncrementalSplitMax = 1_000_000 // keep the incremental pass-2 path
+			opt.Counter = tc.counter
+			sc := dataset.NewScanner(d)
+			res := must(MineCount(sc, 2, opt))
+			if !res.Stats.AdaptiveOff {
+				t.Fatal("expected adaptive fallback")
+			}
+			if tc.counter != nil && sc.Passes() != 0 {
+				t.Fatalf("the run read the Scanner %d times, want 0", sc.Passes())
+			}
+			if err := mfi.VerifyAgainst(res.MFS, ares.MFS); err != nil {
+				t.Fatalf("fallback result wrong: %v (got %v, want %v)", err, res.MFS, ares.MFS)
+			}
+		})
 	}
 }
 

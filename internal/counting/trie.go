@@ -12,6 +12,14 @@ import (
 // transaction stamps are needed. Candidates of arbitrary mixed lengths are
 // supported: a candidate that is a prefix of another simply terminates at
 // an interior node.
+//
+// At each node a transaction's remaining items are matched against the
+// node's sorted child keys by one of two walks, chosen from those two
+// lengths alone: a merge of the two lists, or — at a node with more than
+// wideNodeRatio keys per remaining item, such as the root of a negative
+// border, which holds nearly every item of the universe — a galloping
+// lookup of each item among the keys, which skips the keys between two
+// items instead of stepping past each. Both walks find the same matches.
 type Trie struct {
 	candidates []itemset.Itemset
 	counts     []int64
@@ -73,27 +81,74 @@ func (t *Trie) Add(tx itemset.Itemset) {
 	t.count(t.root, tx)
 }
 
-// count merges the node's child keys with the transaction's remaining items
-// (both sorted) and recurses on every match.
+// count finds the node's child keys among the transaction's remaining
+// items, by the walk the Trie comment describes, and recurses on every
+// match. Both walks live in this one function so that a descent costs one
+// call per level.
 func (t *Trie) count(n *trieNode, tx itemset.Itemset) {
-	i, j := 0, 0
-	for i < len(n.items) && j < len(tx) {
-		switch {
-		case n.items[i] < tx[j]:
-			i++
-		case n.items[i] > tx[j]:
-			j++
-		default:
-			child := n.children[i]
-			if child.terminal >= 0 {
-				t.counts[child.terminal]++
+	keys := n.items
+	if len(keys) <= wideNodeRatio*len(tx) {
+		// Merge: step past every key and every item.
+		i, j := 0, 0
+		for i < len(keys) && j < len(tx) {
+			switch {
+			case keys[i] < tx[j]:
+				i++
+			case keys[i] > tx[j]:
+				j++
+			default:
+				t.visit(n.children[i], tx[j+1:])
+				i++
+				j++
 			}
-			if len(child.items) > 0 {
-				t.count(child, tx[j+1:])
-			}
-			i++
-			j++
 		}
+		return
+	}
+	// Gallop: look each item up among the keys past the previous one,
+	// doubling the stride over smaller keys and then binary-searching the
+	// last stride, so an item costs about twice the logarithm of the keys
+	// it skips instead of one step per key. Every key before lo is smaller
+	// than the item.
+	lo := 0
+	for j, it := range tx {
+		hi, step := lo, 1
+		for hi < len(keys) && keys[hi] < it {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		hi = min(hi, len(keys))
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if keys[mid] < it {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(keys) {
+			return
+		}
+		if keys[lo] == it {
+			t.visit(n.children[lo], tx[j+1:])
+			lo++
+		}
+	}
+}
+
+// wideNodeRatio is the keys-per-item ratio above which galloping beats
+// merging; BenchmarkTrieWalk measures both walks on either side of it. It
+// is a variable only so that the tests can force either walk.
+var wideNodeRatio = 8
+
+// visit counts the candidate ending at child, if any, and descends into it
+// with the transaction items after the matched one.
+func (t *Trie) visit(child *trieNode, rest itemset.Itemset) {
+	if child.terminal >= 0 {
+		t.counts[child.terminal]++
+	}
+	if len(child.items) > 0 {
+		t.count(child, rest)
 	}
 }
 

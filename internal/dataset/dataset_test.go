@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,57 @@ func TestScannerCountsPasses(t *testing.T) {
 	}
 	if sc.Dataset() != d {
 		t.Fatal("Dataset accessor")
+	}
+}
+
+// TestNewScannerBuildsNothing pins that wrapping a dataset costs a fixed
+// number of allocations: the dense forms wait for the first Scan, so a
+// miner that never scans (a tid-list counter's) never pays for them.
+func TestNewScannerBuildsNothing(t *testing.T) {
+	d := randomDataset(rand.New(rand.NewSource(3)), 10_000, 1000)
+	if allocs := testing.AllocsPerRun(10, func() { NewScanner(d) }); allocs > 2 {
+		t.Fatalf("NewScanner over %d transactions: %.0f allocs, want ≤ 2", d.Len(), allocs)
+	}
+}
+
+// TestScannerConcurrentFirstScans starts several scans of a fresh scanner
+// at once, as a cluster worker does on a shard's scanner: each sees every
+// transaction with its dense form, the same one every other scan sees (run
+// under -race, the build of the dense forms must not race with their
+// readers).
+func TestScannerConcurrentFirstScans(t *testing.T) {
+	d := randomDataset(rand.New(rand.NewSource(4)), 500, 200)
+	sc := NewScanner(d)
+	const scans = 4
+	seen := make([][]*itemset.Bitset, scans)
+	var wg sync.WaitGroup
+	for g := 0; g < scans; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := 0
+			sc.Scan(func(tx itemset.Itemset, bits *itemset.Bitset) {
+				if !bits.Items().Equal(tx) {
+					t.Errorf("scan %d, transaction %d: bitset %v, want %v", g, i, bits, tx)
+				}
+				seen[g] = append(seen[g], bits)
+				i++
+			})
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < scans; g++ {
+		if len(seen[g]) != d.Len() {
+			t.Fatalf("scan %d saw %d transactions, want %d", g, len(seen[g]), d.Len())
+		}
+		for i, b := range seen[g] {
+			if b != seen[0][i] {
+				t.Fatalf("scan %d, transaction %d: a different bitset from scan 0's", g, i)
+			}
+		}
+	}
+	if sc.Passes() != scans {
+		t.Fatalf("passes = %d, want %d", sc.Passes(), scans)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"pincer/internal/itemset"
@@ -26,24 +27,28 @@ type Scanner interface {
 }
 
 // MemoryScanner is the standard Scanner over an in-memory Dataset. The dense
-// bitset form of each transaction is materialized once at construction and
-// shared across passes, which may run concurrently (a cluster worker serves
-// every count over one shard from one scanner).
+// bitset form of each transaction is materialized once, by the first Scan,
+// and shared across passes, which may run concurrently (a cluster worker
+// serves every count over one shard from one scanner). A scanner that is
+// never scanned — the miner counts through a tid-list or partitioned
+// counter instead — never builds them.
 type MemoryScanner struct {
-	data   *Dataset
-	bits   []*itemset.Bitset
-	passes atomic.Int64
+	data     *Dataset
+	bitsOnce sync.Once
+	bits     []*itemset.Bitset
+	passes   atomic.Int64
 }
 
 // NewScanner wraps a dataset. The dataset must not be mutated while the
 // scanner is in use.
 func NewScanner(d *Dataset) *MemoryScanner {
-	return &MemoryScanner{data: d, bits: d.Bitsets()}
+	return &MemoryScanner{data: d}
 }
 
 // Scan implements Scanner.
 func (m *MemoryScanner) Scan(fn func(tx itemset.Itemset, bits *itemset.Bitset)) {
 	m.passes.Add(1)
+	m.bitsOnce.Do(func() { m.bits = m.data.Bitsets() })
 	for i, t := range m.data.Transactions() {
 		fn(t, m.bits[i])
 	}
