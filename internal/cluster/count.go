@@ -22,7 +22,7 @@ func countShard(sc *dataset.MemoryScanner, req *CountRequest, tick func() error)
 	resp := &CountResponse{ShardID: req.ShardID, Pass: req.Pass, Transactions: sc.Len()}
 	feed := &shardFeed{sc: sc, tick: tick}
 	c := counting.NewFeedCounter(feed)
-	bits := bitsetsOf(req.NumItems, req.Elems)
+	bits := counting.DirectBits(req.NumItems, req.Elems)
 	switch req.Kind {
 	case KindItems:
 		resp.ItemCounts, resp.ElemCounts = c.CountItems(req.NumItems, req.Elems, bits)
@@ -33,7 +33,6 @@ func countShard(sc *dataset.MemoryScanner, req *CountRequest, tick func() error)
 	case KindCandidates:
 		resp.CandCounts, resp.ElemCounts = c.CountCandidates(parseEngine(req.Engine), req.Candidates, req.Elems, bits)
 	case KindSets:
-		// The sets promise no antichain, so they are always tested directly.
 		resp.ElemCounts = c.CountSets(req.Elems, bits)
 	}
 	if feed.abort != nil {
@@ -66,18 +65,6 @@ func (f *shardFeed) Pass(open func(int) func(itemset.Itemset, *itemset.Bitset)) 
 		}
 		add(tx, bits)
 	})
-}
-
-// bitsetsOf builds the dense forms of sets over the given universe.
-func bitsetsOf(universe int, sets []itemset.Itemset) []*itemset.Bitset {
-	if len(sets) == 0 {
-		return nil
-	}
-	out := make([]*itemset.Bitset, len(sets))
-	for i, s := range sets {
-		out[i] = itemset.BitsetOf(universe, s)
-	}
-	return out
 }
 
 // parseEngine maps a validated wire engine name to the counting engine

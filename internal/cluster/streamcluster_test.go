@@ -19,32 +19,33 @@ import (
 	"pincer/internal/obsv"
 )
 
-// refStreamCounts is the single-node reference: one sequential scan of d.
+// refStreamCounts is the single-node reference: each set's support in d.
 func refStreamCounts(d *dataset.Dataset, sets []itemset.Itemset) []int64 {
 	counts := make([]int64, len(sets))
-	setBits := bitsetsOf(d.NumItems(), sets)
-	sc := dataset.NewScanner(d)
-	sc.Scan(func(_ itemset.Itemset, bits *itemset.Bitset) {
-		for i, sb := range setBits {
-			if sb.IsSubsetOf(bits) {
-				counts[i]++
-			}
-		}
-	})
+	for i, s := range sets {
+		counts[i] = d.Support(s)
+	}
 	return counts
 }
 
 // testStreamSets builds a deliberately non-antichain set list (singletons,
-// pairs, and a containing triple) — the wire contract promises correct
-// counts for any set list, not just the maintainer's antichains.
+// the pairs of the first six items, a containing triple and a repeated
+// pair) — the wire contract promises correct counts for any set list, not
+// just the maintainer's antichains. With more than 16 sets the workers
+// count it through the element trie.
 func testStreamSets(d *dataset.Dataset) []itemset.Itemset {
-	n := d.NumItems()
+	n := min(d.NumItems(), 6)
 	sets := []itemset.Itemset{}
-	for i := 0; i < n && i < 6; i++ {
+	for i := 0; i < n; i++ {
 		sets = append(sets, itemset.Itemset{itemset.Item(i)})
 	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			sets = append(sets, itemset.Itemset{itemset.Item(i), itemset.Item(j)})
+		}
+	}
 	if n >= 3 {
-		sets = append(sets, itemset.Itemset{0, 1}, itemset.Itemset{1, 2}, itemset.Itemset{0, 1, 2})
+		sets = append(sets, itemset.Itemset{0, 1, 2}, itemset.Itemset{0, 1})
 	}
 	return sets
 }

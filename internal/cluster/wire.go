@@ -83,7 +83,7 @@ const (
 	KindItems      = "items"      // pass 1: per-item array
 	KindPairs      = "pairs"      // pass 2: triangular pair matrix
 	KindCandidates = "candidates" // pass ≥ 3: candidate engine
-	KindSets       = "sets"       // stream delta: Elems alone, by direct subset tests
+	KindSets       = "sets"       // stream delta: Elems alone, any list of sets
 )
 
 // maxWireUniverse bounds the item universe a message may declare, so a
@@ -137,9 +137,8 @@ type LoadShardResponse struct {
 // CountRequest asks a worker to perform one pass's counting over one
 // shard. The (JobID, Pass, Kind, ShardID) stamp identifies the logical
 // request across retries; workers key their reply memo by the stamp plus a
-// digest of the full payload, so a duplicate delivery is answered
-// idempotently while a different payload under one stamp — a stream batch
-// counts its MFS and its border over the same delta side — is counted
+// digest of the request body, so a duplicate delivery is answered
+// idempotently while a different payload under one stamp is counted
 // afresh. Stream delta counts are stamped <stream>.b<seq>.<side> with the
 // batch seq as Pass.
 type CountRequest struct {
@@ -155,11 +154,11 @@ type CountRequest struct {
 	// Engine names the counting structure for KindCandidates ("" = hashtree).
 	Engine string `json:"engine,omitempty"`
 	// Candidates are the bottom-up candidates for KindCandidates.
-	Candidates []itemset.Itemset `json:"candidates,omitempty"`
+	Candidates wireSets `json:"candidates,omitempty"`
 	// Elems are MFCS elements piggybacked on any kind of pass; for
-	// KindSets they are the whole request, and may be any set list, not
-	// only an antichain.
-	Elems []itemset.Itemset `json:"elems,omitempty"`
+	// KindSets they are the whole request. Any list of non-empty sets is
+	// counted exactly, whether or not it is an antichain.
+	Elems wireSets `json:"elems,omitempty"`
 }
 
 // CountResponse carries one shard's count vectors, positionally parallel
@@ -174,13 +173,13 @@ type CountResponse struct {
 	Transactions int    `json:"transactions"`
 	// Memoized reports the reply was served from the worker's idempotency
 	// memo — the coordinator counts it as a detected duplicate delivery.
-	Memoized   bool    `json:"memoized,omitempty"`
-	ItemCounts []int64 `json:"item_counts,omitempty"`
+	Memoized   bool       `json:"memoized,omitempty"`
+	ItemCounts wireCounts `json:"item_counts,omitempty"`
 	// PairCounts is the triangle's dense count vector (counting.Triangle
 	// snapshot order over the request's Live set).
-	PairCounts []int64 `json:"pair_counts,omitempty"`
-	CandCounts []int64 `json:"cand_counts,omitempty"`
-	ElemCounts []int64 `json:"elem_counts,omitempty"`
+	PairCounts wireCounts `json:"pair_counts,omitempty"`
+	CandCounts wireCounts `json:"cand_counts,omitempty"`
+	ElemCounts wireCounts `json:"elem_counts,omitempty"`
 }
 
 // WorkerStatus is the body of GET /cluster/v1/ping — the heartbeat reply,

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -194,13 +196,18 @@ func (w *Worker) handleLoadShard(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (w *Worker) handleCount(rw http.ResponseWriter, r *http.Request) {
-	req, err := DecodeCount(r.Body, w.cfg.MaxBodyBytes)
+	body, err := io.ReadAll(io.LimitReader(r.Body, w.cfg.MaxBodyBytes))
+	if err != nil {
+		writeWireError(rw, wireErrf(http.StatusBadRequest, ReasonBadJSON, "decode: %v", err))
+		return
+	}
+	req, err := DecodeCount(bytes.NewReader(body), w.cfg.MaxBodyBytes)
 	if err != nil {
 		writeWireError(rw, err)
 		return
 	}
 
-	key := memoKey(req)
+	key := memoKey(req, body)
 	w.mu.Lock()
 	if resp, ok := w.memo[key]; ok {
 		id := w.id()
@@ -270,11 +277,13 @@ func (w *Worker) touchShard(id string) {
 }
 
 // memoKey is the idempotency key of a count request: the pass stamp plus a
-// digest of the full payload, so even a (buggy) payload change under a
-// reused stamp cannot be answered with the wrong memo entry.
-func memoKey(req *CountRequest) string {
-	b, _ := json.Marshal(req) // struct marshal cannot fail
-	sum := sha256.Sum256(b)
+// digest of the request body as read, so even a (buggy) payload change
+// under a reused stamp cannot be answered with the wrong memo entry. A
+// coordinator's body is json.Marshal of its request, which is what the
+// decoded request would marshal to, so hashing the body spares the worker
+// that marshal without changing the key.
+func memoKey(req *CountRequest, body []byte) string {
+	sum := sha256.Sum256(body)
 	return fmt.Sprintf("%s|%d|%s|%s|%x", req.JobID, req.Pass, req.Kind, req.ShardID[:16], sum[:8])
 }
 

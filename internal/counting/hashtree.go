@@ -4,21 +4,20 @@ import "pincer/internal/itemset"
 
 // HashTree is the candidate store of Agrawal & Srikant [AS94]: interior
 // nodes hash the next item of a candidate into a fixed fan-out, leaves hold
-// small buckets of candidates. Counting a transaction descends the tree once
-// per viable item position, touching only candidates that can possibly be
-// contained.
+// small buckets of candidates. Counting a transaction descends the tree,
+// touching only candidates that can possibly be contained.
 //
 // Candidates of mixed lengths are supported: a candidate whose items are
 // exhausted at an interior node is stored in that node's bucket, and buckets
-// are checked at every node visited during a descent. Because distinct items
-// can hash to the same child, a node may be reached through several paths
-// for one transaction; a per-candidate transaction stamp guarantees each
-// candidate is counted at most once per transaction.
+// are checked at every node visited during a descent. Distinct items can
+// hash to the same child, so a descent enters each child once, from the
+// first remaining transaction item that hashes to it: the items after that
+// one include those after any later item of the same hash, so no contained
+// candidate is missed, and every node — every bucket — is reached at most
+// once per transaction, so none is counted twice.
 type HashTree struct {
 	candidates []itemset.Itemset
 	counts     []int64
-	stamp      []int64 // last transaction id that counted candidate i
-	txID       int64
 	root       *htNode
 	fanout     int
 	maxLeaf    int
@@ -33,7 +32,7 @@ type htNode struct {
 }
 
 const (
-	defaultFanout  = 8
+	defaultFanout  = 8 // at most 64: descend marks entered children in a uint64
 	defaultMaxLeaf = 16
 )
 
@@ -42,13 +41,9 @@ func NewHashTree(candidates []itemset.Itemset) *HashTree {
 	h := &HashTree{
 		candidates: candidates,
 		counts:     make([]int64, len(candidates)),
-		stamp:      make([]int64, len(candidates)),
 		fanout:     defaultFanout,
 		maxLeaf:    defaultMaxLeaf,
 		root:       &htNode{},
-	}
-	for i := range h.stamp {
-		h.stamp[i] = -1
 	}
 	for i := range candidates {
 		h.insert(int32(i))
@@ -110,44 +105,42 @@ func (h *HashTree) maybeSplit(n *htNode) {
 }
 
 // shard returns a counter sharing h's tree — immutable once built — while
-// owning private count and stamp arrays, so Adds on distinct shards touch no
-// common memory. Used by Sharded; h must not be mutated afterwards.
+// owning a private count array, so Adds on distinct shards touch no common
+// memory. Used by Sharded; h must not be mutated afterwards.
 func (h *HashTree) shard() *HashTree {
-	s := &HashTree{
+	return &HashTree{
 		candidates: h.candidates,
 		counts:     make([]int64, len(h.candidates)),
-		stamp:      make([]int64, len(h.candidates)),
 		root:       h.root,
 		fanout:     h.fanout,
 		maxLeaf:    h.maxLeaf,
 	}
-	for i := range s.stamp {
-		s.stamp[i] = -1
-	}
-	return s
 }
 
 // Add implements Counter.
 func (h *HashTree) Add(tx itemset.Itemset) {
-	h.txID++
 	h.descend(h.root, tx, 0)
 }
 
+// descend counts n's bucket against tx and enters each child of n once,
+// from the first item of tx[pos:] that hashes to it.
 func (h *HashTree) descend(n *htNode, tx itemset.Itemset, pos int) {
 	for _, ci := range n.bucket {
-		if h.stamp[ci] == h.txID {
-			continue
-		}
 		if h.candidates[ci].IsSubsetOf(tx) {
-			h.stamp[ci] = h.txID
 			h.counts[ci]++
 		}
 	}
 	if n.children == nil {
 		return
 	}
+	var entered uint64
 	for i := pos; i < len(tx); i++ {
-		h.descend(n.children[h.hash(tx[i])], tx, i+1)
+		b := uint(h.hash(tx[i]))
+		if entered&(1<<b) != 0 {
+			continue
+		}
+		entered |= 1 << b
+		h.descend(n.children[b], tx, i+1)
 	}
 }
 

@@ -22,8 +22,10 @@ import (
 // tidset intersection, and the cluster coordinator fans a pass out to
 // worker nodes.
 //
-// elems is always an antichain of mixed-length itemsets (MFCS elements)
-// with elemBits their dense forms, parallel to elems; both may be empty.
+// elems is a list of mixed-length itemsets — the MFCS elements, for a
+// miner — with elemBits their dense forms, parallel to elems; both may be
+// empty. The list need not be an antichain: sets that are prefixes of one
+// another and repeated sets are each counted exactly.
 type PassCounter interface {
 	// CountItems counts every item of the universe plus the elements.
 	CountItems(numItems int, elems []itemset.Itemset, elemBits []*itemset.Bitset) (itemCounts, elemCounts []int64)
@@ -65,6 +67,21 @@ func WorkersOf(pc PassCounter) int {
 // elements by direct per-transaction bitset subset tests; above it a trie
 // over the elements is cheaper. Either way the counts are identical.
 const directElemsMax = 16
+
+// DirectBits returns the dense forms over universe of elems when a
+// ScanCounter pass tests them directly, and nil when there are more than
+// directElemsMax, which the pass counts through its trie without reading
+// their bitsets.
+func DirectBits(universe int, elems []itemset.Itemset) []*itemset.Bitset {
+	if len(elems) > directElemsMax {
+		return nil
+	}
+	bits := make([]*itemset.Bitset, len(elems))
+	for i, e := range elems {
+		bits[i] = itemset.BitsetOf(universe, e)
+	}
+	return bits
+}
 
 // Feed is how one database pass's transactions reach the shards of a
 // ScanCounter. Shards is the number of shards every pass is split into
@@ -121,7 +138,7 @@ func (c *ScanCounter) CountItems(numItems int, elems []itemset.Itemset, elemBits
 	for s := range arrays {
 		arrays[s] = NewItemArray(numItems)
 	}
-	elemCounts := c.pass(func(s int) adder { return arrays[s] }, elems, elemBits, true)
+	elemCounts := c.pass(func(s int) adder { return arrays[s] }, elems, elemBits)
 	for _, a := range arrays[1:] {
 		arrays[0].Merge(a)
 	}
@@ -136,7 +153,7 @@ func (c *ScanCounter) CountPairs(numItems int, live itemset.Itemset, elems []ite
 	for s := 1; s < len(tris); s++ {
 		tris[s] = tris[0].Shard()
 	}
-	elemCounts := c.pass(func(s int) adder { return tris[s] }, elems, elemBits, true)
+	elemCounts := c.pass(func(s int) adder { return tris[s] }, elems, elemBits)
 	for _, t := range tris[1:] {
 		tris[0].Merge(t)
 	}
@@ -146,18 +163,18 @@ func (c *ScanCounter) CountPairs(numItems int, live itemset.Itemset, elems []ite
 // CountCandidates implements PassCounter (the pass ≥ 3 shape).
 func (c *ScanCounter) CountCandidates(engine Engine, candidates []itemset.Itemset, elems []itemset.Itemset, elemBits []*itemset.Bitset) ([]int64, []int64) {
 	if len(candidates) == 0 {
-		return nil, c.pass(nil, elems, elemBits, true)
+		return nil, c.pass(nil, elems, elemBits)
 	}
 	cands := NewSharded(engine, candidates, c.feed.Shards())
-	elemCounts := c.pass(func(s int) adder { return cands.Shard(s) }, elems, elemBits, true)
+	elemCounts := c.pass(func(s int) adder { return cands.Shard(s) }, elems, elemBits)
 	return cands.Counts(), elemCounts
 }
 
-// CountSets counts sets, with bits their dense forms, by direct subset
-// tests. Unlike the elements of the other passes the sets need not be an
-// antichain, so no trie is built however many there are.
+// CountSets counts sets, with bits their dense forms (DirectBits), in a
+// pass that counts nothing else, exactly as the passes above count their
+// elements.
 func (c *ScanCounter) CountSets(sets []itemset.Itemset, bits []*itemset.Bitset) []int64 {
-	return c.pass(nil, sets, bits, false)
+	return c.pass(nil, sets, bits)
 }
 
 // adder is the per-transaction face of a pass's main counter.
@@ -166,16 +183,14 @@ type adder interface{ Add(tx itemset.Itemset) }
 // pass runs one database pass, the body every counting call shares: each
 // shard adds its transactions to counter(shard) (none when counter is nil)
 // and counts the elements into private state, and the element counts are
-// summed at the barrier. Elements are tested directly against the
-// transaction's bitset, except that more than directElemsMax elements of
-// an antichain go through a trie whose read-only index the shards share —
-// an antichain has no element that is a prefix of another, so the trie
-// handles their mixed lengths safely.
-func (c *ScanCounter) pass(counter func(shard int) adder, elems []itemset.Itemset, elemBits []*itemset.Bitset, antichain bool) []int64 {
+// summed at the barrier. Up to directElemsMax elements are tested directly
+// against the transaction's bitset; more go through a trie whose read-only
+// index the shards share, and elemBits goes unread.
+func (c *ScanCounter) pass(counter func(shard int) adder, elems []itemset.Itemset, elemBits []*itemset.Bitset) []int64 {
 	shards := c.feed.Shards()
 	var trie *Sharded
 	var direct [][]int64
-	if antichain && len(elems) > directElemsMax {
+	if len(elems) > directElemsMax {
 		trie = NewSharded(EngineTrie, elems, shards)
 		elemBits = nil
 	} else {

@@ -22,8 +22,7 @@ func SumInto(dst, src []int64) {
 // per-transaction synchronization. Every worker owns a private Counter
 // shard; for the hash tree and trie engines the shards share a single
 // read-only candidate index built once, and each shard holds only its
-// private count (and, for the hash tree, visit-stamp) arrays. Counts sums
-// the shards at the pass barrier.
+// private count array. Counts sums the shards at the pass barrier.
 //
 // Protocol: construct, hand shard w to exactly one goroutine, wait for all
 // goroutines, then call Counts. No shard may be used by two goroutines, and

@@ -9,9 +9,9 @@ import (
 // Trie counts candidates stored in a prefix tree keyed by item. Each
 // candidate is a root-to-node path of strictly increasing items, so every
 // candidate matches a transaction along exactly one descent — no
-// transaction stamps are needed. Candidates of arbitrary mixed lengths are
-// supported: a candidate that is a prefix of another simply terminates at
-// an interior node.
+// transaction stamps are needed. Any list of sets is counted exactly: a
+// candidate that is a prefix of another terminates at an interior node, the
+// empty set at the root, and a repeated set reads its first copy's count.
 //
 // At each node a transaction's remaining items are matched against the
 // node's sorted child keys by one of two walks, chosen from those two
@@ -24,6 +24,7 @@ type Trie struct {
 	candidates []itemset.Itemset
 	counts     []int64
 	root       *trieNode
+	repeats    [][2]int32 // (candidate, earlier candidate it repeats)
 }
 
 type trieNode struct {
@@ -62,6 +63,10 @@ func (t *Trie) insert(ci int32, c itemset.Itemset) {
 		}
 		n = n.children[j]
 	}
+	if n.terminal >= 0 {
+		t.repeats = append(t.repeats, [2]int32{ci, n.terminal})
+		return
+	}
 	n.terminal = ci
 }
 
@@ -73,12 +78,13 @@ func (t *Trie) shard() *Trie {
 		candidates: t.candidates,
 		counts:     make([]int64, len(t.candidates)),
 		root:       t.root,
+		repeats:    t.repeats,
 	}
 }
 
 // Add implements Counter.
 func (t *Trie) Add(tx itemset.Itemset) {
-	t.count(t.root, tx)
+	t.visit(t.root, tx)
 }
 
 // count finds the node's child keys among the transaction's remaining
@@ -142,7 +148,8 @@ func (t *Trie) count(n *trieNode, tx itemset.Itemset) {
 var wideNodeRatio = 8
 
 // visit counts the candidate ending at child, if any, and descends into it
-// with the transaction items after the matched one.
+// with the transaction items after the matched one. Add visits the root
+// with the whole transaction, which counts the empty set.
 func (t *Trie) visit(child *trieNode, rest itemset.Itemset) {
 	if child.terminal >= 0 {
 		t.counts[child.terminal]++
@@ -153,7 +160,12 @@ func (t *Trie) visit(child *trieNode, rest itemset.Itemset) {
 }
 
 // Counts implements Counter.
-func (t *Trie) Counts() []int64 { return t.counts }
+func (t *Trie) Counts() []int64 {
+	for _, r := range t.repeats {
+		t.counts[r[0]] = t.counts[r[1]]
+	}
+	return t.counts
+}
 
 // NumCandidates implements Counter.
 func (t *Trie) NumCandidates() int { return len(t.candidates) }

@@ -49,9 +49,10 @@ func forceWalk(tb testing.TB, walk string) {
 // a negative border (every singleton of the universe plus the pairs of the
 // hot items), whose root is galloped by every transaction and whose pair
 // nodes are merged, and a narrow list of 20 pairs, whose root is galloped
-// by 1- and 2-item transactions and merged by longer ones. Each list is
-// counted with the walk chosen per node as in production and with each
-// walk forced at every node.
+// by 1- and 2-item transactions and merged by longer ones. Both lists also
+// hold a repeated set and the empty set, which every transaction holds.
+// Each list is counted with the walk chosen per node as in production and
+// with each walk forced at every node.
 func TestTrieWalksMatchSupport(t *testing.T) {
 	d := trieWalkDB()
 	var border, narrow []itemset.Itemset
@@ -64,6 +65,8 @@ func TestTrieWalksMatchSupport(t *testing.T) {
 		}
 		narrow = append(narrow, itemset.New(itemset.Item(a), itemset.Item(a+1)))
 	}
+	border = append(border, itemset.Itemset{}, border[1000])
+	narrow = append(narrow, narrow[3], itemset.Itemset{})
 	for _, list := range []struct {
 		name  string
 		elems []itemset.Itemset

@@ -7,8 +7,8 @@
 // exact supports, and the Mannila–Toivonen negative border (the minimal
 // infrequent itemsets) with exact supports. Each appended batch (and, in
 // window mode, the transactions it evicts) is counted against only
-// MFS ∪ border through the core.PassCounter seam — two antichains, two
-// counting calls per delta side — and the border argument decides the rest:
+// MFS ∪ border through the core.PassCounter seam — one list, one counting
+// call per delta side — and the border argument decides the rest:
 //
 //   - If every MFS element stays frequent, every border element stays
 //     infrequent, and no brand-new item reaches the threshold, then the
@@ -98,8 +98,9 @@ type Options struct {
 	// fault-injection seam; nil in production.
 	WrapScanner func(sc dataset.Scanner) dataset.Scanner
 	// DeltaCounter, when set, replaces local delta-verification counting:
-	// it returns the support of each set (one antichain — the maintained
-	// MFS or border) over d, for the batch seq and Side* constant given.
+	// it returns the support of each set over d, for the batch seq and
+	// Side* constant given. The sets are the maintained MFS followed by the
+	// border — a list that is no antichain — or a re-mined border alone.
 	// Supports are additive over horizontal partitions, so a distributed
 	// implementation (cluster.StreamCoordinator) yields byte-identical
 	// maintenance. Counter and Workers then shape only re-mines.
@@ -286,15 +287,17 @@ func (m *Maintainer) Append(batch []dataset.Transaction) (Delta, error) {
 		return d, nil
 	}
 
-	// Delta verification: count the two maintained antichains over the
-	// appended and evicted transactions.
+	// Delta verification: count the maintained sets, MFS then border, over
+	// the appended and evicted transactions.
 	db := deltaDataset(norm, newNumItems)
 	de := deltaDataset(evicted, newNumItems)
-	addMFS := m.countOver(d.Seq, SideAppend, db, m.mfs)
-	subMFS := m.countOver(d.Seq, SideEvict, de, m.mfs)
-	addBorder := m.countOver(d.Seq, SideAppend, db, m.border)
-	subBorder := m.countOver(d.Seq, SideEvict, de, m.border)
-	d.Checked = 2 * (len(m.mfs) + len(m.border))
+	sets := make([]itemset.Itemset, 0, len(m.mfs)+len(m.border))
+	sets = append(append(sets, m.mfs...), m.border...)
+	add := m.countOver(d.Seq, SideAppend, db, sets)
+	sub := m.countOver(d.Seq, SideEvict, de, sets)
+	addMFS, addBorder := add[:len(m.mfs)], add[len(m.mfs):]
+	subMFS, subBorder := sub[:len(m.mfs)], sub[len(m.mfs):]
+	d.Checked = 2 * len(sets)
 
 	newMFSSupports := make([]int64, len(m.mfsSupports))
 	for i, s := range m.mfsSupports {
@@ -486,9 +489,8 @@ func (m *Maintainer) scanner(d *dataset.Dataset) dataset.Scanner {
 }
 
 // countOver counts each of sets over d through the configured PassCounter
-// (or the injected DeltaCounter). sets must be an antichain (the MFS and
-// the border each are; their union is not, which is why Append counts them
-// separately).
+// (or the injected DeltaCounter), as the elements of one pass: any list,
+// such as MFS ∪ border, which is no antichain.
 func (m *Maintainer) countOver(seq int64, side string, d *dataset.Dataset, sets []itemset.Itemset) []int64 {
 	if len(sets) == 0 {
 		return nil
@@ -505,11 +507,7 @@ func (m *Maintainer) countOver(seq int64, side string, d *dataset.Dataset, sets 
 	} else {
 		pc = core.NewScanCounter(m.scanner(d))
 	}
-	bits := make([]*itemset.Bitset, len(sets))
-	for i, s := range sets {
-		bits[i] = itemset.BitsetOf(d.NumItems(), s)
-	}
-	_, counts := pc.CountCandidates(counting.EngineHashTree, nil, sets, bits)
+	_, counts := pc.CountCandidates(counting.EngineHashTree, nil, sets, counting.DirectBits(d.NumItems(), sets))
 	return counts
 }
 

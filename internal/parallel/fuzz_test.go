@@ -23,6 +23,11 @@ var countersSeeds = [][]byte{
 	// One-item transactions: the element trie's root (15 keys) is more than
 	// eight times wider than each of them, so it is galloped, not merged.
 	{0, 0x81, 0x83, 0x85, 0x89, 0x8c, 0x82},
+	// A first byte with its high bit set: the element lists also hold
+	// prefixes of elements and a repeated element.
+	{0x82, 1, 2, 0x83, 1, 2, 0x83, 1, 0x82},
+	{0x87, 1, 3, 5, 0x87, 2, 4, 0x86, 1, 2, 3, 0x84, 9, 10, 0x8b, 0, 15, 0x87, 3, 0x85},
+	{0x80, 0, 0x81, 0x83, 0x85, 0x89, 0x8c, 0x82},
 }
 
 // countersUniverse is the declared item universe: transactions use items
@@ -36,7 +41,11 @@ const directThreshold = 16
 
 // decodeCounters decodes a fuzz input into a database, the live items, one
 // length of bottom-up candidates (the k-subsets of the first eight live
-// items, k from the first byte) and an antichain of mixed-length elements.
+// items, k from the first byte) and a list of mixed-length elements: an
+// antichain, or, when the first byte has its high bit set, the antichain
+// plus a prefix of each of its elements longer than one item and a repeat
+// of its first element — a list like the incremental maintainer's
+// MFS ∪ border, which counters must count exactly as well.
 func decodeCounters(data []byte) (d *dataset.Dataset, live itemset.Itemset, cands, elems []itemset.Itemset) {
 	d = dataset.Empty(countersUniverse)
 	var cur []itemset.Item
@@ -63,6 +72,14 @@ func decodeCounters(data []byte) (d *dataset.Dataset, live itemset.Itemset, cand
 	pool := append(subsets(itemset.Range(0, 8), 3), subsets(itemset.Range(16, 24), 2)...)
 	pool = append(pool, d.Transactions()...)
 	elems = itemset.MaximalOnly(pool)
+	if data[0]&0x80 != 0 {
+		for _, e := range elems {
+			if len(e) > 1 {
+				elems = append(elems, e[:len(e)-1])
+			}
+		}
+		elems = append(elems, elems[0])
+	}
 	// Supported elements first, so the short list counts something.
 	sort.SliceStable(elems, func(i, j int) bool { return d.Support(elems[i]) > d.Support(elems[j]) })
 	return d, live, cands, elems
