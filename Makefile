@@ -9,9 +9,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci vet build test race faults conformance fuzz cover load cluster stream stream-cluster serve bench bench-smoke bench-parallel bench-vertical bench-engines bench-cluster bench-stream bench-stream-cluster profile
+.PHONY: ci vet build test race faults conformance fuzz cover load cluster stream stream-cluster serve bench bench-smoke bench-check bench-parallel bench-vertical bench-engines bench-cluster bench-stream bench-stream-cluster profile
 
-ci: vet build test race faults conformance fuzz cover load cluster stream stream-cluster bench-smoke bench-engines
+ci: vet build test race faults conformance fuzz cover load cluster stream stream-cluster bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -127,49 +127,62 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 
-# Regenerate BENCH_parallel.json (T20.I10.D10K, workers 1/2/4).
+# The six sweep suites of cmd/benchrun. Each suite fixes its own workload
+# (databases, supports, worker counts, batch size) and repeats; every report
+# is one JSON object in the one schema (internal/bench Report) with the
+# machine context, a per-cell agree gate and the suite's own gates, and
+# benchrun exits non-zero naming any gate that fails.
+SWEEPS = parallel vertical cluster engines stream stream-cluster
+
+# Run every sweep suite at its committed size into a scratch directory and
+# fail on any gate. The committed BENCH files are left as they are.
+bench-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/benchrun" ./cmd/benchrun && \
+	for s in $(SWEEPS); do \
+		"$$dir/benchrun" -suite $$s -q -json "$$dir/$$s.json" || exit 1; \
+	done
+
+# Regenerate BENCH_parallel.json: sequential Pincer-Search against count
+# distribution at 1, 2 and 4 workers (T20.I10.D10K at 6%). The ratio is
+# named speedup only on a machine with more than one CPU.
 bench-parallel:
-	$(GO) run ./cmd/benchrun -workers 1,2,4 -spec F4-T20I10 -d 10000 \
-		-parallel-support 0.06 -repeats 3 -json BENCH_parallel.json
+	$(GO) run ./cmd/benchrun -suite parallel -json BENCH_parallel.json
 
-# Regenerate BENCH_vertical.json (scan vs tid-list counting, same spec).
+# Regenerate BENCH_vertical.json: scan against tid-list counting of the same
+# Pincer-Search run at each support of T20.I10.D10K.
 bench-vertical:
-	$(GO) run ./cmd/benchrun -vertical -spec F4-T20I10 -d 10000 \
-		-repeats 3 -json BENCH_vertical.json
+	$(GO) run ./cmd/benchrun -suite vertical -json BENCH_vertical.json
 
-# Regenerate BENCH_cluster.json: sequential Pincer vs the coordinator/worker
-# cluster over an in-process loopback cluster. On one machine this prices
-# the wire protocol's coordination overhead (the report refuses to call the
-# ratio a speedup) and certifies byte-identical results at every width.
+# Regenerate BENCH_cluster.json: sequential Pincer-Search against the
+# coordinator/worker cluster over 1, 2 and 4 in-process loopback workers
+# (T20.I10.D2K at 6%). The loopback workers share this machine's CPUs, so
+# the ratio prices the wire protocol against the cores the workers add;
+# the gates certify identical answers and that no run degraded.
 bench-cluster:
-	$(GO) run ./cmd/benchrun -cluster 1,2,4 -spec F4-T20I10 -d 2000 \
-		-repeats 3 -json BENCH_cluster.json
+	$(GO) run ./cmd/benchrun -suite cluster -json BENCH_cluster.json
 
-# Regenerate BENCH_engines.json: every fixed engine vs the adaptive
+# Regenerate BENCH_engines.json: every fixed engine against the adaptive
 # engine=auto policy across the rising-density ladder (the same corpus the
 # engine-invariance property test pins). Fails if auto is ever the worst
 # plan on a cell or loses to the best single fixed choice summed over the
 # sweep — the policy's calibration contract.
 bench-engines:
-	$(GO) run ./cmd/benchrun -engines -repeats 3 -json BENCH_engines.json
+	$(GO) run ./cmd/benchrun -suite engines -json BENCH_engines.json
 
 # Regenerate BENCH_stream.json: stream T20.I10.D10K into the incremental
-# maintainer in 500-transaction batches, pricing every delta against a
-# from-scratch mine of the same prefix. The headline is the re-mine
-# avoidance rate and the border-unmoved delta being >=10x cheaper than the
-# mine it avoids.
+# maintainer in 500-transaction batches at 20% support, pricing every delta
+# against a from-scratch mine of the same prefix. Fails if no delta takes
+# the border check's fast path.
 bench-stream:
-	$(GO) run ./cmd/benchrun -stream -spec F4-T20I10 -d 10000 \
-		-stream-batch-tx 500 -stream-support 0.2 -repeats 3 -json BENCH_stream.json
+	$(GO) run ./cmd/benchrun -suite stream -json BENCH_stream.json
 
-# Regenerate BENCH_stream_cluster.json: replay the stream sweep's batches
-# into a cluster-backed maintainer over loopback workers at each width,
-# pricing the per-delta wire overhead against the single-node maintainer
-# with a per-batch byte-identical gate (the report refuses to call the
-# ratio anything but wire overhead: loopback workers share the CPUs).
+# Regenerate BENCH_stream_cluster.json: replay the stream suite's batches
+# into a cluster-backed maintainer over 1, 2 and 4 loopback workers against
+# the single-node maintainer, gating every batch on identical MFS and
+# supports and failing if any run degraded below quorum.
 bench-stream-cluster:
-	$(GO) run ./cmd/benchrun -stream-cluster 1,2,4 -spec F4-T20I10 -d 10000 \
-		-stream-batch-tx 500 -stream-support 0.2 -repeats 3 -json BENCH_stream_cluster.json
+	$(GO) run ./cmd/benchrun -suite stream-cluster -json BENCH_stream_cluster.json
 
 # CPU-profile a representative mine (T10.I4.D10K) and print the ten
 # hottest functions.

@@ -1,7 +1,11 @@
-// Command benchrun regenerates the paper's evaluation figures: for every
-// benchmark database and minimum support it runs Apriori and Pincer-Search
-// and prints the three panels the paper plots — relative execution time,
-// number of candidates, and number of passes.
+// Command benchrun runs one suite of the evaluation harness and prints its
+// report. The default suite regenerates the paper's evaluation figures:
+// for every benchmark database and minimum support it runs Apriori and
+// Pincer-Search and prints the three panels the paper plots — relative
+// execution time, number of candidates, and number of passes. Every other
+// suite is the same reference-against-variant comparison on its own
+// workload, written in the same report schema and judged by the same
+// agree gate plus its own.
 //
 // Usage:
 //
@@ -11,17 +15,18 @@
 //	benchrun -d 100000              # paper-scale |D|
 //	benchrun -budget 120s           # skip cells after an algorithm exceeds 2 min
 //	benchrun -csv results.csv       # machine-readable output too
-//	benchrun -workers 1,2,4         # parallel Pincer workers sweep (with -json out.json)
-//	benchrun -cluster 1,2,4         # distributed sweep over an in-process loopback cluster
-//	benchrun -stream-cluster 1,2,4  # distributed-streams sweep: per-delta cost over a loopback cluster
-//	benchrun -vertical -spec F4-T20I10      # scan vs tid-list counting sweep
+//	benchrun -suite parallel -json BENCH_parallel.json   # another suite, JSON report
+//	benchrun -suite baselines       # every other miner against Apriori (§5)
 //	benchrun -counter tidlist       # figure cells count by tid-list intersection
 //	benchrun -timeout 10m           # stop cleanly after 10 minutes (Ctrl-C does the same)
-//	benchrun -checkpoint run.ckpt -resume   # continue pincer cells from an interrupted run
+//	benchrun -checkpoint run.ckpt -resume   # continue pincer runs from an interrupted run
 //
-// Cells run from the highest support downward; once an algorithm blows the
-// -budget on a cell, its harder cells are skipped and marked (the paper
-// reports the same rows as ">2 orders of magnitude").
+// The suites are figures, baselines, parallel, vertical, cluster, engines,
+// stream and stream-cluster. Each fixes its own databases, supports, worker
+// counts and batch size; -d and -spec replace its database size and
+// database. The command exits non-zero, naming the gate, when any gate
+// fails. A cell skipped by -budget, -max-candidates, -timeout or Ctrl-C
+// passes; any other failure does not.
 package main
 
 import (
@@ -31,7 +36,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -41,20 +45,6 @@ import (
 	"pincer/internal/obsv"
 )
 
-// parseWorkers parses a comma-separated worker-count list such as "1,2,4".
-// 0 is allowed and means GOMAXPROCS.
-func parseWorkers(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("-workers wants a comma-separated list of non-negative counts, got %q", s)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
@@ -63,47 +53,68 @@ func main() {
 }
 
 func run(args []string) error {
+	var names []string
+	for _, s := range bench.Suites(0) {
+		names = append(names, s.Name)
+	}
 	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
-	figure := fs.Int("figure", 0, "run only figure 3 (scattered) or 4 (concentrated); 0 = both")
-	specID := fs.String("spec", "", "run a single experiment by id, e.g. F4-T20I10")
-	numTx := fs.Int("d", 10_000, "|D|: transactions per database (paper scale: 100000)")
-	budget := fs.Duration("budget", 5*time.Minute, "per-algorithm time budget; harder cells are skipped once exceeded (0 = unlimited)")
+	suiteName := fs.String("suite", "figures", "suite to run: "+strings.Join(names, ", "))
+	figure := fs.Int("figure", 0, "figures suite: run only figure 3 (scattered) or 4 (concentrated); 0 = both")
+	specID := fs.String("spec", "", "run the suite on this experiment's database, e.g. F4-T20I10")
+	numTx := fs.Int("d", 0, "|D|: transactions per database (0 = the suite's own; paper scale: 100000)")
+	budget := fs.Duration("budget", 5*time.Minute, "figures suite: per-algorithm time budget; harder cells are skipped once exceeded (0 = unlimited)")
 	engineName := fs.String("engine", "hashtree", "counting engine: hashtree, list, or trie")
-	counterName := fs.String("counter", "scan", "pincer support counting for the figure cells: scan or tidlist[:bitset|list|diffset]; also sets the representation of -vertical")
-	vertical := fs.Bool("vertical", false, "run the scan-vs-tidlist counting sweep for one spec instead of the figures (honors -spec, -repeats, -json)")
-	engines := fs.Bool("engines", false, "run the adaptive engine-selection sweep on the rising-density ladder instead of the figures (honors -d, -repeats, -json)")
-	stream := fs.Bool("stream", false, "run the incremental-maintenance sweep: stream the spec's database batch by batch, pricing each border-check delta against a from-scratch mine (honors -spec, -d, -repeats, -counter, -json)")
-	streamBatchTx := fs.Int("stream-batch-tx", 500, "stream sweep: transactions per batch")
-	streamSup := fs.Float64("stream-support", 0.2, "stream sweep: maintained minimum support")
-	engineDatasets := fs.Int("engine-datasets", 6, "engine sweep: datasets on the rising-density ladder")
-	verticalWorkers := fs.Int("vertical-workers", 1, "vertical sweep: tid-list counting workers")
+	counterName := fs.String("counter", "scan", "support counting of the figure cells and stream maintainers: scan or tidlist[:bitset|list|diffset]; the representation also applies to the vertical suite")
 	pure := fs.Bool("pure", false, "use pure (non-adaptive) Pincer-Search")
-	csvPath := fs.String("csv", "", "also write results as CSV to this file")
+	csvPath := fs.String("csv", "", "also write the cells as CSV to this file")
 	quiet := fs.Bool("q", false, "suppress per-cell progress lines")
-	baselines := fs.Bool("baselines", false, "run the cross-algorithm comparison (§5's baselines) instead of the figures")
-	baselineSup := fs.Float64("baseline-support", 0.06, "minimum support for the baseline comparison")
-	workersList := fs.String("workers", "", "comma-separated worker counts, e.g. 1,2,4 (0 = GOMAXPROCS): run the count-distribution parallel Pincer sweep instead of the figures")
-	clusterList := fs.String("cluster", "", "comma-separated cluster worker counts, e.g. 1,2,4: run the distributed sweep over an in-process loopback cluster instead of the figures (honors -spec, -d, -repeats, -parallel-support, -json)")
-	streamClusterList := fs.String("stream-cluster", "", "comma-separated worker counts, e.g. 1,2,4: run the distributed-streams sweep — per-delta cost of a cluster-backed maintainer over an in-process loopback cluster vs the single-node maintainer (honors -spec, -d, -repeats, -counter, -stream-batch-tx, -stream-support, -json)")
-	parallelSup := fs.Float64("parallel-support", 0.06, "minimum support for the parallel and cluster sweeps")
-	repeats := fs.Int("repeats", 3, "parallel sweep: measurements per setting (minimum is reported)")
-	jsonPath := fs.String("json", "", "parallel sweep: also write the report as JSON to this file")
+	repeats := fs.Int("repeats", 0, "replays of the suite; each cell keeps its fastest (0 = the suite's own: 1 for figures and baselines, 3 otherwise)")
+	jsonPath := fs.String("json", "", "also write the report as JSON to this file")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof/ on this address while the benchmark runs (e.g. localhost:6060)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	traceJSON := fs.String("trace-json", "", "parallel sweep: trace per-pass events — written as JSON lines to this file (\"-\" for stderr) and folded into the -json report")
+	traceJSON := fs.String("trace-json", "", "trace the first replay's per-pass events — written as JSON lines to this file (\"-\" for stderr) and folded into the -json report")
 	timeout := fs.Duration("timeout", 0, "overall wall-clock limit: the harness is cancelled and the remaining cells are marked skipped (0 = none)")
-	maxCandidates := fs.Int("max-candidates", 0, "per-pass candidate budget for both algorithms; a cell whose pass exceeds it is marked skipped (0 = unlimited)")
-	ckptPath := fs.String("checkpoint", "", "pincer cells persist a resumable checkpoint to this file at every pass boundary")
-	resume := fs.Bool("resume", false, "pincer cells continue from a matching -checkpoint file instead of starting fresh")
+	maxCandidates := fs.Int("max-candidates", 0, "per-pass candidate budget for Apriori and Pincer-Search; a cell whose pass exceeds it is marked skipped (0 = unlimited)")
+	ckptPath := fs.String("checkpoint", "", "Pincer-Search runs persist a resumable checkpoint to this file at every pass boundary")
+	resume := fs.Bool("resume", false, "Pincer-Search runs continue from a matching -checkpoint file instead of starting fresh")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	if *baselines && (*timeout > 0 || *maxCandidates > 0 || *ckptPath != "") {
-		return fmt.Errorf("-timeout, -max-candidates, and -checkpoint are not supported with -baselines")
+	if *repeats < 0 || *numTx < 0 {
+		return fmt.Errorf("-repeats and -d must not be negative")
+	}
+	suite, ok := bench.SuiteByName(*suiteName, *numTx)
+	if !ok {
+		return fmt.Errorf("unknown suite %q (want one of %s)", *suiteName, strings.Join(names, ", "))
+	}
+	if *specID != "" {
+		spec, ok := bench.SpecByID(*specID, suite.Specs[0].Quest.NumTransactions)
+		if !ok {
+			return fmt.Errorf("unknown spec %q (want one of F3-T5I2, F3-T10I4, F3-T20I6, F4-T20I6, F4-T20I10, F4-T20I15)", *specID)
+		}
+		suite.Specs = []bench.Spec{spec}
+	}
+	if *figure != 0 {
+		if suite.Name != "figures" || (*figure != 3 && *figure != 4) {
+			return fmt.Errorf("-figure must be 3 or 4, with the figures suite")
+		}
+		var specs []bench.Spec
+		for _, s := range suite.Specs {
+			if s.Figure == *figure {
+				specs = append(specs, s)
+			}
+		}
+		if len(specs) == 0 {
+			return fmt.Errorf("-spec %s is not in figure %d", *specID, *figure)
+		}
+		suite.Specs = specs
+	}
+	if *repeats == 0 {
+		*repeats = suite.Repeats
 	}
 	engine, err := counting.ParseEngine(*engineName)
 	if err != nil {
@@ -115,7 +126,7 @@ func run(args []string) error {
 	}
 
 	// Ctrl-C (or -timeout) cancels the harness: in-flight cells stop at the
-	// next cancellation point and the tables report what finished.
+	// next cancellation point and the report shows what finished.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {
@@ -157,342 +168,19 @@ func run(args []string) error {
 		tracer = obsv.Multi(tracer, obsv.NewJSONTracer(w))
 	}
 
-	if *stream {
-		spec, ok := bench.SpecByID("F4-T20I10", *numTx)
-		if *specID != "" {
-			spec, ok = bench.SpecByID(*specID, *numTx)
-		}
-		if !ok {
-			return fmt.Errorf("unknown spec %q", *specID)
-		}
-		opt := bench.DefaultOptions()
-		opt.Engine = engine
-		opt.Context = ctx
-		if tidlist {
-			opt.Counter = "tidlist"
-		}
-		if !*quiet {
-			opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		rep := bench.RunStreamSweep(spec, *streamSup, *streamBatchTx, *repeats, opt)
-		if err := bench.WriteStreamTable(os.Stdout, rep); err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteStreamJSON(f, rep); err != nil {
-				return err
-			}
-		}
-		if rep.Err != "" {
-			fmt.Fprintf(os.Stderr, "benchrun: sweep stopped early: %s\n", rep.Err)
-			return nil
-		}
-		for _, c := range rep.Cells {
-			if !c.Agree {
-				return fmt.Errorf("correctness check failed: maintained MFS diverges from the from-scratch mine at seq %d", c.Seq)
-			}
-		}
-		if rep.FastPathDeltas == 0 {
-			return fmt.Errorf("workload check failed: no batch was absorbed by the border check (every delta re-mined)")
-		}
-		return nil
-	}
-
-	if *engines {
-		opt := bench.DefaultOptions()
-		opt.Context = ctx
-		if !*quiet {
-			opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		// The figures' |D| default is oversized for a 6-plan × 12-cell
-		// sweep; default to 1000 transactions unless -d was given.
-		engineTx := 1000
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "d" {
-				engineTx = *numTx
-			}
-		})
-		params := bench.EngineSweepDatasets(engineTx, *engineDatasets)
-		rep := bench.RunEngineSweep(params, []float64{0.05, 0.15}, *repeats, opt)
-		if err := bench.WriteEngineTable(os.Stdout, rep); err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteEngineJSON(f, rep); err != nil {
-				return err
-			}
-		}
-		if rep.Err != "" {
-			fmt.Fprintf(os.Stderr, "benchrun: sweep stopped early: %s\n", rep.Err)
-			return nil
-		}
-		for _, c := range rep.Cells {
-			if !c.Agree {
-				return fmt.Errorf("correctness check failed: plans disagree on %s at minsup %g", c.Dataset, c.Support)
-			}
-		}
-		if !rep.AutoNeverWorst {
-			return fmt.Errorf("policy check failed: auto was the worst plan on at least one cell")
-		}
-		return nil
-	}
-
-	if *vertical {
-		spec, ok := bench.SpecByID("F4-T20I10", *numTx)
-		if *specID != "" {
-			spec, ok = bench.SpecByID(*specID, *numTx)
-		}
-		if !ok {
-			return fmt.Errorf("unknown spec %q", *specID)
-		}
-		opt := bench.DefaultOptions()
-		opt.Engine = engine
-		opt.Pincer.Pure = *pure
-		opt.Pincer.MaxCandidatesPerPass = *maxCandidates
-		opt.Context = ctx
-		if !*quiet {
-			opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		rep := bench.RunVerticalSweep(spec, *verticalWorkers, *repeats, counterRep, opt)
-		if err := bench.WriteVerticalTable(os.Stdout, rep); err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteVerticalJSON(f, []bench.VerticalReport{rep}); err != nil {
-				return err
-			}
-		}
-		if rep.Err != "" {
-			fmt.Fprintf(os.Stderr, "benchrun: sweep stopped early: %s\n", rep.Err)
-			return nil
-		}
-		for _, c := range rep.Cells {
-			if !c.Agree && c.Scan.Err == "" && c.TidList.Err == "" {
-				return fmt.Errorf("correctness check failed: tidlist disagrees with scan at minsup %g", c.Support)
-			}
-		}
-		return nil
-	}
-
-	if *clusterList != "" {
-		counts, err := parseWorkers(*clusterList)
-		if err != nil {
-			return err
-		}
-		for _, n := range counts {
-			if n < 1 {
-				return fmt.Errorf("-cluster wants worker counts >= 1, got %d", n)
-			}
-		}
-		spec, ok := bench.SpecByID("F4-T20I10", *numTx)
-		if *specID != "" {
-			spec, ok = bench.SpecByID(*specID, *numTx)
-		}
-		if !ok {
-			return fmt.Errorf("unknown spec %q", *specID)
-		}
-		opt := bench.DefaultOptions()
-		opt.Engine = engine
-		opt.Pincer.Pure = *pure
-		opt.Pincer.MaxCandidatesPerPass = *maxCandidates
-		opt.Context = ctx
-		if !*quiet {
-			opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		rep := bench.RunClusterSweep(spec, *parallelSup, counts, *repeats, opt)
-		if err := bench.WriteClusterTable(os.Stdout, rep); err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteClusterJSON(f, []bench.ClusterReport{rep}); err != nil {
-				return err
-			}
-		}
-		if rep.Err != "" {
-			fmt.Fprintf(os.Stderr, "benchrun: sweep stopped early: %s\n", rep.Err)
-			return nil
-		}
-		for _, m := range rep.Runs {
-			if !m.Agree && m.Err == "" {
-				return fmt.Errorf("correctness check failed: cluster workers=%d disagrees with the sequential run", m.Workers)
-			}
-		}
-		return nil
-	}
-
-	if *streamClusterList != "" {
-		counts, err := parseWorkers(*streamClusterList)
-		if err != nil {
-			return err
-		}
-		for _, n := range counts {
-			if n < 1 {
-				return fmt.Errorf("-stream-cluster wants worker counts >= 1, got %d", n)
-			}
-		}
-		spec, ok := bench.SpecByID("F4-T20I10", *numTx)
-		if *specID != "" {
-			spec, ok = bench.SpecByID(*specID, *numTx)
-		}
-		if !ok {
-			return fmt.Errorf("unknown spec %q", *specID)
-		}
-		opt := bench.DefaultOptions()
-		opt.Engine = engine
-		opt.Context = ctx
-		if tidlist {
-			opt.Counter = "tidlist"
-		}
-		if !*quiet {
-			opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		rep := bench.RunStreamClusterSweep(spec, *streamSup, *streamBatchTx, counts, *repeats, opt)
-		if err := bench.WriteStreamClusterTable(os.Stdout, rep); err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteStreamClusterJSON(f, rep); err != nil {
-				return err
-			}
-		}
-		if rep.Err != "" {
-			fmt.Fprintf(os.Stderr, "benchrun: sweep stopped early: %s\n", rep.Err)
-			return nil
-		}
-		for _, m := range rep.Runs {
-			if m.Err != "" {
-				continue
-			}
-			if !m.Agree {
-				return fmt.Errorf("correctness check failed: stream cluster workers=%d diverges from the single-node maintainer", m.Workers)
-			}
-			if m.Degraded {
-				return fmt.Errorf("health check failed: stream cluster workers=%d degraded below quorum on a loopback pool", m.Workers)
-			}
-		}
-		return nil
-	}
-
-	if *workersList != "" {
-		counts, err := parseWorkers(*workersList)
-		if err != nil {
-			return err
-		}
-		spec, ok := bench.SpecByID("F4-T20I10", *numTx)
-		if *specID != "" {
-			spec, ok = bench.SpecByID(*specID, *numTx)
-		}
-		if !ok {
-			return fmt.Errorf("unknown spec %q", *specID)
-		}
-		opt := bench.DefaultOptions()
-		opt.Engine = engine
-		opt.Pincer.Pure = *pure
-		opt.Pincer.MaxCandidatesPerPass = *maxCandidates
-		opt.Tracer = tracer
-		opt.Context = ctx
-		opt.Resume = *resume
-		if *ckptPath != "" {
-			opt.Pincer.Checkpointer = checkpoint.NewFileCheckpointer(*ckptPath)
-		}
-		if !*quiet {
-			opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		rep := bench.RunParallelSweep(spec, *parallelSup, counts, *repeats, opt)
-		if err := bench.WriteParallelTable(os.Stdout, rep); err != nil {
-			return err
-		}
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteParallelJSON(f, []bench.ParallelReport{rep}); err != nil {
-				return err
-			}
-		}
-		if rep.Err != "" {
-			fmt.Fprintf(os.Stderr, "benchrun: sweep stopped early: %s\n", rep.Err)
-			return nil
-		}
-		for _, m := range rep.Runs {
-			if !m.Agree && m.Err == "" {
-				return fmt.Errorf("correctness check failed: workers=%d disagrees with the sequential run", m.Workers)
-			}
-		}
-		return nil
-	}
-
-	if *baselines {
-		p, ok := bench.SpecByID("F4-T20I10", *numTx)
-		if *specID != "" {
-			p, ok = bench.SpecByID(*specID, *numTx)
-		}
-		if !ok {
-			return fmt.Errorf("unknown spec %q", *specID)
-		}
-		opt := bench.DefaultOptions()
-		opt.Engine = engine
-		rows := bench.RunBaselines(p.Quest, *baselineSup, opt)
-		return bench.WriteBaselines(os.Stdout, p.Quest, *baselineSup, rows)
-	}
-
-	var specs []bench.Spec
-	switch {
-	case *specID != "":
-		s, ok := bench.SpecByID(*specID, *numTx)
-		if !ok {
-			return fmt.Errorf("unknown spec %q (want one of F3-T5I2, F3-T10I4, F3-T20I6, F4-T20I6, F4-T20I10, F4-T20I15)", *specID)
-		}
-		specs = []bench.Spec{s}
-	case *figure == 3:
-		specs = bench.Figure3Specs(*numTx)
-	case *figure == 4:
-		specs = bench.Figure4Specs(*numTx)
-	case *figure == 0:
-		specs = bench.AllSpecs(*numTx)
-	default:
-		return fmt.Errorf("-figure must be 0, 3, or 4")
-	}
-
 	opt := bench.DefaultOptions()
 	opt.Engine = engine
 	opt.Budget = *budget
 	opt.Pincer.Pure = *pure
-	if tidlist {
-		opt.Counter = "tidlist"
-		opt.CounterRep = counterRep
-	}
 	opt.Pincer.MaxCandidatesPerPass = *maxCandidates
 	opt.Apriori.MaxCandidatesPerPass = *maxCandidates
+	if tidlist {
+		opt.Counter = "tidlist"
+	}
+	opt.CounterRep = counterRep
 	opt.Context = ctx
 	opt.Resume = *resume
+	opt.Tracer = tracer
 	if *ckptPath != "" {
 		opt.Pincer.Checkpointer = checkpoint.NewFileCheckpointer(*ckptPath)
 	}
@@ -500,42 +188,34 @@ func run(args []string) error {
 		opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
-	var allCells []bench.Cell
-	for _, spec := range specs {
-		fmt.Fprintf(os.Stderr, "== %s: generating %s (|D|=%d) ==\n", spec.ID, spec.Name(), spec.Quest.Defaults().NumTransactions)
-		cells := bench.RunSpec(spec, opt)
-		if err := bench.WriteTable(os.Stdout, spec, cells); err != nil {
+	rep := bench.Run(suite, *repeats, opt)
+	if err := bench.WriteTable(os.Stdout, rep); err != nil {
+		return err
+	}
+	if *jsonPath != "" {
+		if err := writeFile(*jsonPath, rep, bench.WriteJSON); err != nil {
 			return err
 		}
-		allCells = append(allCells, cells...)
 	}
-
+	if *csvPath != "" {
+		if err := writeFile(*csvPath, rep, bench.WriteCSV); err != nil {
+			return err
+		}
+	}
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "benchrun: stopped early (%v); unfinished cells are marked skipped\n", ctx.Err())
 	}
+	return rep.Err()
+}
 
-	disagreements := 0
-	for _, c := range allCells {
-		if !c.Agree && !c.Apriori.Skipped && !c.Pincer.Skipped {
-			disagreements++
-		}
+func writeFile(path string, rep bench.Report, write func(io.Writer, bench.Report) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if disagreements > 0 {
-		fmt.Fprintf(os.Stderr, "WARNING: %d cells where Apriori and Pincer-Search disagree on the MFS\n", disagreements)
+	if err := write(f, rep); err != nil {
+		f.Close()
+		return err
 	}
-
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteCSV(f, allCells); err != nil {
-			return err
-		}
-	}
-	if disagreements > 0 {
-		return fmt.Errorf("correctness check failed on %d cells", disagreements)
-	}
-	return nil
+	return f.Close()
 }

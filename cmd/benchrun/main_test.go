@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,30 +35,27 @@ func TestBenchrunSingleSpec(t *testing.T) {
 }
 
 func TestBenchrunErrors(t *testing.T) {
-	if err := run([]string{"-spec", "F9-NOPE"}); err == nil {
-		t.Error("unknown spec accepted")
-	}
-	if err := run([]string{"-figure", "7"}); err == nil {
-		t.Error("bad figure accepted")
-	}
-	if err := run([]string{"-engine", "abacus"}); err == nil {
-		t.Error("bad engine accepted")
-	}
-	if err := run([]string{"-workers", "1,two"}); err == nil {
-		t.Error("bad worker list accepted")
-	}
-	if err := run([]string{"-workers", "-3"}); err == nil {
-		t.Error("negative worker count accepted")
-	}
-	if err := run([]string{"-workers", "1,2", "-spec", "F9-NOPE"}); err == nil {
-		t.Error("unknown spec accepted in parallel sweep")
+	for _, args := range [][]string{
+		{"-spec", "F9-NOPE"},
+		{"-figure", "7"},
+		{"-engine", "abacus"},
+		{"-suite", "nope"},
+		{"-suite", "parallel", "-spec", "F9-NOPE"},
+		{"-suite", "parallel", "-figure", "4"},
+		{"-spec", "F4-T20I6", "-figure", "3"},
+		{"-repeats", "-3"},
+		{"-workers", "1,2"}, // the sweep modes are suites now
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
 func TestBenchrunParallelSweep(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "parallel.json")
-	err := run([]string{"-workers", "1,2", "-spec", "F4-T20I6", "-d", "400",
-		"-parallel-support", "0.15", "-repeats", "1", "-q", "-json", jsonPath})
+	err := run([]string{"-suite", "parallel", "-spec", "F4-T20I6", "-d", "400",
+		"-repeats", "1", "-q", "-json", jsonPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +63,28 @@ func TestBenchrunParallelSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := string(data)
-	for _, want := range []string{`"spec": "F4-T20I6"`, `"workers": 2`, `"agree": true`, `"sequential_seconds"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("json missing %q:\n%s", want, out)
+	var rep struct {
+		Suite string `json:"suite"`
+		CPUs  int    `json:"cpus"`
+		Cells []struct {
+			Dataset string `json:"dataset"`
+			Key     string `json:"key"`
+			Agree   bool   `json:"agree"`
+		} `json:"cells"`
+		Gates []struct {
+			Name string `json:"name"`
+			Pass bool   `json:"pass"`
+		} `json:"gates"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not one JSON object: %v\n%s", err, data)
+	}
+	if rep.Suite != "parallel" || rep.CPUs < 1 || len(rep.Cells) != 3 || len(rep.Gates) != 1 || !rep.Gates[0].Pass {
+		t.Fatalf("report: %s", data)
+	}
+	for _, c := range rep.Cells {
+		if c.Dataset != "F4-T20I6" || !strings.HasPrefix(c.Key, "workers=") || !c.Agree {
+			t.Errorf("cell %+v", c)
 		}
 	}
 }
@@ -77,11 +93,11 @@ func TestBenchrunFlagValidation(t *testing.T) {
 	if err := run([]string{"-resume"}); err == nil {
 		t.Error("-resume without -checkpoint accepted")
 	}
-	if err := run([]string{"-baselines", "-timeout", "1s"}); err == nil {
-		t.Error("-baselines with -timeout accepted")
+	if err := run([]string{"-suite", "engines", "-figure", "3"}); err == nil {
+		t.Error("-figure outside the figures suite accepted")
 	}
-	if err := run([]string{"-baselines", "-checkpoint", "x"}); err == nil {
-		t.Error("-baselines with -checkpoint accepted")
+	if err := run([]string{"-d", "-5"}); err == nil {
+		t.Error("negative -d accepted")
 	}
 }
 
@@ -112,14 +128,25 @@ func TestBenchrunTimeoutSkipsCells(t *testing.T) {
 
 func TestBenchrunCheckpointSweepCompletes(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	err := run([]string{"-workers", "1", "-spec", "F4-T20I6", "-d", "400",
-		"-parallel-support", "0.15", "-repeats", "1", "-q",
-		"-checkpoint", ckpt, "-resume"})
+	err := run([]string{"-suite", "parallel", "-spec", "F4-T20I6", "-d", "400",
+		"-repeats", "1", "-q", "-checkpoint", ckpt, "-resume"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Completed runs clear their checkpoint.
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not cleared after a completed sweep: %v", err)
+	}
+}
+
+// A failure that no limit on the command line caused — here a checkpoint
+// that cannot be written — fails the command and names the gate, even when
+// it is the sequential reference that fails.
+func TestBenchrunGateFailureExitsNonZero(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "missing", "run.ckpt")
+	err := run([]string{"-suite", "parallel", "-spec", "F4-T20I6", "-d", "400",
+		"-repeats", "1", "-q", "-checkpoint", ckpt})
+	if err == nil || !strings.Contains(err.Error(), "gate agree failed") {
+		t.Fatalf("run = %v, want the agree gate to fail", err)
 	}
 }

@@ -13,77 +13,74 @@ func TestRunParallelSweep(t *testing.T) {
 	var progress []string
 	opt := DefaultOptions()
 	opt.Progress = func(l string) { progress = append(progress, l) }
-	spec := tinySpec()
-	rep := RunParallelSweep(spec, 0.12, []int{1, 2, 4}, 2, opt)
-	if rep.SpecID != spec.ID || rep.Transactions != 600 {
+	s := suiteOn(t, "parallel", tinySpec())
+	s.Supports = []float64{0.12}
+	rep := Run(s, 2, opt)
+	if rep.Suite != "parallel" || rep.Transactions != 600 || rep.Repeats != 2 {
 		t.Fatalf("report header: %+v", rep)
 	}
-	if rep.SequentialSeconds <= 0 || rep.Passes == 0 {
-		t.Fatalf("no sequential measurement: %+v", rep)
+	if rep.CPUs < 1 || rep.GoMaxProcs < 1 || rep.GoVersion == "" {
+		t.Fatalf("machine context missing: %+v", rep)
 	}
-	if len(rep.Runs) != 3 {
-		t.Fatalf("runs = %d", len(rep.Runs))
+	if len(rep.Cells) != 3 {
+		t.Fatalf("cells = %d", len(rep.Cells))
 	}
-	for _, m := range rep.Runs {
-		if !m.Agree {
-			t.Errorf("workers=%d: parallel result disagrees with sequential", m.Workers)
+	for i, c := range rep.Cells {
+		if want := []string{"workers=1", "workers=2", "workers=4"}[i]; c.Key != want {
+			t.Errorf("cell %d key = %q, want %q", i, c.Key, want)
 		}
-		if m.Seconds <= 0 {
-			t.Errorf("workers=%d: no timing (%+v)", m.Workers, m)
+		if !c.Agree {
+			t.Errorf("%s: parallel result disagrees with sequential", c.Key)
 		}
-		// The multi-core protocol: speedup fields only on real multi-core
-		// hardware, an explicit reason otherwise — never both.
-		if runtime.NumCPU() > 1 {
-			if m.Speedup <= 0 || m.SpeedupInvalidReason != "" {
-				t.Errorf("workers=%d: want valid speedup on %d CPUs (%+v)", m.Workers, runtime.NumCPU(), m)
-			}
-		} else if m.Speedup != 0 || m.SpeedupInvalidReason != "cpus=1" {
-			t.Errorf("workers=%d: single-CPU run must withhold speedup (%+v)", m.Workers, m)
+		if c.Variant.Seconds <= 0 || c.Reference.Seconds <= 0 || c.Ratio <= 0 {
+			t.Errorf("%s: no timing (%+v)", c.Key, c)
 		}
 	}
-	if len(progress) != 3 {
-		t.Errorf("progress lines = %d", len(progress))
+	// The ratio is a speedup only where a second CPU can make one.
+	if want := parallelRatio(runtime.NumCPU()); rep.Ratio != want {
+		t.Errorf("ratio = %q, want %q", rep.Ratio, want)
 	}
-
-	var tbl bytes.Buffer
-	if err := WriteParallelTable(&tbl, rep); err != nil {
-		t.Fatal(err)
+	if parallelRatio(1) == "speedup" || parallelRatio(2) != "speedup" {
+		t.Errorf("parallelRatio(1) = %q, parallelRatio(2) = %q", parallelRatio(1), parallelRatio(2))
 	}
-	for _, want := range []string{"workers", "speedup", "sequential:", spec.ID} {
-		if !strings.Contains(tbl.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, tbl.String())
-		}
+	if len(progress) != 6 {
+		t.Errorf("progress lines = %d, want one per cell per replay", len(progress))
 	}
 
 	var buf bytes.Buffer
-	if err := WriteParallelJSON(&buf, []ParallelReport{rep}); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	var back []ParallelReport
+	var back Report
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("JSON round-trip: %v", err)
 	}
-	if len(back) != 1 || len(back[0].Runs) != 3 || back[0].Runs[2].Workers != 4 {
+	if len(back.Cells) != 3 || back.Cells[2].Key != "workers=4" || len(back.Gates) != 1 || !back.Gates[0].Pass {
 		t.Fatalf("round-tripped report: %+v", back)
 	}
 }
 
-// A cancelled context must stop the sweep before the sequential baseline and
-// report the reason instead of panicking or hanging.
+// A cancelled context must stop the suite before any run and report the
+// reason instead of panicking or hanging.
 func TestRunParallelSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt := DefaultOptions()
 	opt.Context = ctx
-	rep := RunParallelSweep(tinySpec(), 0.12, []int{1, 2}, 1, opt)
-	if rep.Err == "" {
-		t.Fatalf("cancelled sweep reported no error: %+v", rep)
+	rep := Run(suiteOn(t, "parallel", tinySpec()), 1, opt)
+	if len(rep.Cells) != 3 {
+		t.Fatalf("cells = %d", len(rep.Cells))
+	}
+	for _, c := range rep.Cells {
+		if c.Skip == "" {
+			t.Errorf("%s ran under a cancelled context", c.Key)
+		}
 	}
 	var tbl bytes.Buffer
-	if err := WriteParallelTable(&tbl, rep); err != nil {
+	if err := WriteTable(&tbl, rep); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tbl.String(), "sweep stopped:") {
+	if !strings.Contains(tbl.String(), "skipped: harness context canceled") {
 		t.Errorf("table does not surface the stop reason:\n%s", tbl.String())
 	}
 }

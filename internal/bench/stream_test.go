@@ -1,83 +1,54 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"strings"
 	"testing"
 )
+
+// streamSpec is long enough for four batches, of which the border check
+// absorbs at least one.
+func streamSpec() Spec {
+	s, _ := SpecByID("F4-T20I10", 2000)
+	return s
+}
 
 func TestRunStreamSweep(t *testing.T) {
 	var progress []string
 	opt := DefaultOptions()
 	opt.Progress = func(l string) { progress = append(progress, l) }
-	spec := tinySpec()
-	rep := RunStreamSweep(spec, 0.2, 100, 2, opt)
-	if rep.Err != "" {
-		t.Fatalf("sweep stopped: %s", rep.Err)
+	rep := Run(suiteOn(t, "stream", streamSpec()), 2, opt)
+	if len(rep.Cells) != 4 {
+		t.Fatalf("cells = %d, want 4", len(rep.Cells))
 	}
-	if rep.SpecID != spec.ID || rep.Transactions != 600 || rep.BatchTx != 100 {
-		t.Fatalf("report header: %+v", rep)
-	}
-	if rep.Batches != 6 || len(rep.Cells) != 6 {
-		t.Fatalf("batches = %d, cells = %d, want 6", rep.Batches, len(rep.Cells))
-	}
-	if rep.Counter != "scan" {
-		t.Fatalf("counter = %q, want scan", rep.Counter)
-	}
-	fast, remines := 0, 0
+	fast := 0
 	for i, c := range rep.Cells {
-		if c.Seq != int64(i+1) || c.Transactions != 100*(i+1) {
-			t.Errorf("cell %d: seq %d, |D| %d", i, c.Seq, c.Transactions)
+		if want := []string{"seq=1", "seq=2", "seq=3", "seq=4"}[i]; c.Key != want {
+			t.Errorf("cell %d key = %q, want %q", i, c.Key, want)
 		}
-		// The sweep's whole claim rests on the maintained MFS matching the
+		// The suite's whole claim rests on the maintained MFS matching the
 		// from-scratch mine at every prefix.
 		if !c.Agree {
-			t.Errorf("seq %d: maintained MFS diverges from the from-scratch mine", c.Seq)
+			t.Errorf("%s: maintained MFS diverges from the from-scratch mine", c.Key)
 		}
-		if c.ScratchSeconds <= 0 || c.DeltaSeconds <= 0 {
-			t.Errorf("seq %d: no timing (%+v)", c.Seq, c)
+		if c.Reference.Seconds <= 0 || c.Variant.Seconds <= 0 {
+			t.Errorf("%s: no timing (%+v)", c.Key, c)
 		}
-		if c.Remined {
-			remines++
-			if c.Reason == "" {
-				t.Errorf("seq %d: re-mine without a reason", c.Seq)
-			}
-		} else {
+		switch c.Variant.Name {
+		case "fast-path":
 			fast++
+		case "re-mine":
+		default:
+			t.Errorf("%s: variant %q is neither path", c.Key, c.Variant.Name)
 		}
 	}
-	if rep.FastPathDeltas != fast || rep.Remines != remines {
-		t.Errorf("aggregates %d/%d, cells say %d/%d", rep.FastPathDeltas, rep.Remines, fast, remines)
+	if fast == 0 {
+		t.Error("no delta took the fast path")
 	}
-	if rep.ScratchMeanSeconds <= 0 {
-		t.Error("no scratch mean")
+	if err := rep.Err(); err != nil {
+		t.Error(err)
 	}
-	if len(progress) != 6 {
+	if len(progress) != 8 {
 		t.Errorf("progress lines = %d", len(progress))
-	}
-
-	var tbl bytes.Buffer
-	if err := WriteStreamTable(&tbl, rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"delta(ms)", "scratch(ms)", "avoidance rate", spec.ID} {
-		if !strings.Contains(tbl.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, tbl.String())
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := WriteStreamJSON(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	var back StreamReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Batches != rep.Batches || len(back.Cells) != len(rep.Cells) {
-		t.Errorf("JSON round trip lost cells: %+v", back)
 	}
 }
 
@@ -86,11 +57,16 @@ func TestRunStreamSweepCancelled(t *testing.T) {
 	cancel()
 	opt := DefaultOptions()
 	opt.Context = ctx
-	rep := RunStreamSweep(tinySpec(), 0.2, 100, 1, opt)
-	if rep.Err == "" {
-		t.Fatal("cancelled sweep reported no error")
+	rep := Run(suiteOn(t, "stream", streamSpec()), 1, opt)
+	if len(rep.Cells) != 4 {
+		t.Fatalf("cells = %d, want one skipped cell per batch", len(rep.Cells))
 	}
-	if len(rep.Cells) != 0 {
-		t.Fatalf("cancelled sweep produced %d cells", len(rep.Cells))
+	for _, c := range rep.Cells {
+		if c.Skip != "harness context canceled" {
+			t.Errorf("%s ran under a cancelled context: %+v", c.Key, c)
+		}
+	}
+	if err := rep.Err(); err != nil {
+		t.Error(err)
 	}
 }

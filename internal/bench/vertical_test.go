@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -12,14 +11,7 @@ func TestRunVerticalSweep(t *testing.T) {
 	var progress []string
 	opt := DefaultOptions()
 	opt.Progress = func(l string) { progress = append(progress, l) }
-	spec := tinySpec()
-	rep := RunVerticalSweep(spec, 1, 2, 0, opt)
-	if rep.SpecID != spec.ID || rep.Transactions != 600 {
-		t.Fatalf("report header: %+v", rep)
-	}
-	if rep.CPUs < 1 || rep.GoMaxProcs < 1 {
-		t.Fatalf("hardware context missing: %+v", rep)
-	}
+	rep := Run(suiteOn(t, "vertical", tinySpec()), 2, opt)
 	if len(rep.Cells) != 2 {
 		t.Fatalf("cells = %d", len(rep.Cells))
 	}
@@ -27,81 +19,63 @@ func TestRunVerticalSweep(t *testing.T) {
 		if !c.Agree {
 			t.Errorf("sup=%.4f: tidlist result disagrees with scan", c.Support)
 		}
-		if c.Scan.Seconds <= 0 || c.TidList.Seconds <= 0 || c.ScanOverTidlistTime <= 0 {
+		if c.Reference.Seconds <= 0 || c.Variant.Seconds <= 0 || c.Ratio <= 0 {
 			t.Errorf("sup=%.4f: no timing (%+v)", c.Support, c)
 		}
-		if c.TidList.Intersections == 0 || c.TidList.Representation == "" {
-			t.Errorf("sup=%.4f: no intersection accounting (%+v)", c.Support, c.TidList)
+		if !strings.Contains(c.Variant.Detail, "intersections") || c.Reference.Detail != "" {
+			t.Errorf("sup=%.4f: intersection accounting on the wrong side (%+v)", c.Support, c)
 		}
-		if c.Scan.Intersections != 0 {
-			t.Errorf("sup=%.4f: scan cell claims intersections (%+v)", c.Support, c.Scan)
-		}
-		if c.Scan.Passes != c.TidList.Passes || c.Scan.Candidates != c.TidList.Candidates {
-			t.Errorf("sup=%.4f: accounting diverged (%+v vs %+v)", c.Support, c.Scan, c.TidList)
+		if c.Reference.Passes != c.Variant.Passes || c.Reference.Candidates != c.Variant.Candidates {
+			t.Errorf("sup=%.4f: accounting diverged (%+v vs %+v)", c.Support, c.Reference, c.Variant)
 		}
 	}
-	if len(progress) != 2 {
+	if len(progress) != 4 {
 		t.Errorf("progress lines = %d", len(progress))
 	}
-
-	var tbl bytes.Buffer
-	if err := WriteVerticalTable(&tbl, rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"tidlist(s)", "ratio", "intersections", spec.ID, "CPUs"} {
-		if !strings.Contains(tbl.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, tbl.String())
-		}
-	}
-
+	// The strategy ratio must never be presented as a parallel speedup: it
+	// compares two counters of one sequential computation.
 	var buf bytes.Buffer
-	if err := WriteVerticalJSON(&buf, []VerticalReport{rep}); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	var back []VerticalReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("JSON round-trip: %v", err)
-	}
-	if len(back) != 1 || len(back[0].Cells) != 2 || back[0].Cells[0].TidList.Counter != "tidlist" {
-		t.Fatalf("round-tripped report: %+v", back)
-	}
-	// The strategy ratio must never be presented as a parallel speedup: the
-	// JSON field name is pinned here on purpose.
-	if !strings.Contains(buf.String(), "scan_over_tidlist_time") || strings.Contains(buf.String(), `"speedup"`) {
-		t.Errorf("vertical JSON must use scan_over_tidlist_time, not speedup:\n%s", buf.String())
+	if rep.Ratio != "scan_over_tidlist_time" || strings.Contains(buf.String(), "speedup") {
+		t.Errorf("vertical ratio must be scan_over_tidlist_time, not speedup:\n%s", buf.String())
 	}
 }
 
-// A cancelled context must stop the sweep before any cell and report why.
+// A cancelled context must stop the suite before any cell and report why.
 func TestRunVerticalSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt := DefaultOptions()
 	opt.Context = ctx
-	rep := RunVerticalSweep(tinySpec(), 1, 1, 0, opt)
-	if rep.Err == "" || len(rep.Cells) != 0 {
-		t.Fatalf("cancelled sweep: %+v", rep)
+	rep := Run(suiteOn(t, "vertical", tinySpec()), 1, opt)
+	for _, c := range rep.Cells {
+		if c.Skip != "harness context canceled" {
+			t.Errorf("cell ran under a cancelled context: %+v", c)
+		}
 	}
 	var tbl bytes.Buffer
-	if err := WriteVerticalTable(&tbl, rep); err != nil {
+	if err := WriteTable(&tbl, rep); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tbl.String(), "sweep stopped:") {
+	if !strings.Contains(tbl.String(), "skipped: harness context canceled") {
 		t.Errorf("table does not surface the stop reason:\n%s", tbl.String())
 	}
 }
 
 // TestRunSpecTidlistCounter exercises the Options.Counter knob end-to-end:
-// RunSpec with the tid-list counter must agree with Apriori on every cell.
+// the figures suite with the tid-list counter must agree with Apriori on
+// every cell.
 func TestRunSpecTidlistCounter(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Counter = "tidlist"
-	cells := RunSpec(tinySpec(), opt)
-	if len(cells) != 2 {
-		t.Fatalf("cells = %d", len(cells))
+	rep := Run(suiteOn(t, "figures", tinySpec()), 1, opt)
+	if len(rep.Cells) != 2 {
+		t.Fatalf("cells = %d", len(rep.Cells))
 	}
-	for _, c := range cells {
-		if c.Apriori.Skipped || c.Pincer.Skipped || !c.Agree {
+	for _, c := range rep.Cells {
+		if !c.measured() || !c.Agree || c.Variant.Name != "pincer-tidlist" {
 			t.Errorf("sup=%.4f: %+v", c.Support, c)
 		}
 	}

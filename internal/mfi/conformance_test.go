@@ -254,6 +254,22 @@ func diffGolden(t *testing.T, label string, got, want []byte) {
 
 // TestConformance runs every miner against every corpus database at every
 // pinned support and diffs the exact MFS + supports against the goldens.
+// CountFrequent must equal the enumerated count on every corpus MFS.
+func TestCountFrequentOnCorpus(t *testing.T) {
+	for _, e := range corpus {
+		d := loadCorpus(t, e.name)
+		for _, minsup := range e.minsups {
+			res, err := core.Mine(dataset.NewScanner(d), minsup, core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := mfi.CountFrequent(res.MFS), int64(len(mfi.Expand(res.MFS, 0))); got != want {
+				t.Errorf("%s at %g: CountFrequent = %d, Expand has %d", e.name, minsup, got, want)
+			}
+		}
+	}
+}
+
 func TestConformance(t *testing.T) {
 	if *update {
 		for _, e := range corpus {

@@ -6,6 +6,7 @@ package mfi
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -145,56 +146,60 @@ func Expand(mfs []itemset.Itemset, maxLen int) []itemset.Itemset {
 	return out
 }
 
-// CountFrequent returns the number of distinct frequent itemsets implied by
-// an MFS without materializing them, via inclusion–exclusion over element
-// intersections. It is exact but exponential in |mfs|; for |mfs| > 20 it
-// falls back to Expand-based counting, which is instead exponential in the
-// element lengths.
+// CountFrequent returns the number of distinct non-empty frequent itemsets
+// implied by an MFS — the size of the union of its elements' power sets —
+// without materializing them. It expands on one item x at a time (a
+// Shannon expansion): the implied sets without x are those implied by the
+// family with x deleted from every element, and the sets with x are x
+// joined to the sets implied by the elements that contain x, again with x
+// deleted. A family reduced to a single element contributes 2^|element| − 1
+// directly. Counts beyond math.MaxInt64 saturate at math.MaxInt64.
 func CountFrequent(mfs []itemset.Itemset) int64 {
-	mfs = itemset.MaximalOnly(mfs)
-	if len(mfs) == 0 {
+	fam := itemset.MaximalOnly(mfs)
+	switch len(fam) {
+	case 0:
 		return 0
-	}
-	if len(mfs) > 20 {
-		return int64(len(Expand(mfs, 0)))
-	}
-	// inclusion–exclusion: |∪ 2^Mi| counting non-empty subsets
-	var total int64
-	n := len(mfs)
-	for mask := 1; mask < 1<<n; mask++ {
-		var inter itemset.Itemset
-		first := true
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			if first {
-				inter = mfs[i]
-				first = false
-			} else {
-				inter = inter.Intersect(mfs[i])
-			}
-			if len(inter) == 0 {
-				break
-			}
+	case 1:
+		if len(fam[0]) >= 63 {
+			return math.MaxInt64
 		}
-		sub := int64(1)<<len(inter) - 1 // non-empty subsets of the intersection
-		if popcount(mask)%2 == 1 {
-			total += sub
-		} else {
-			total -= sub
+		return int64(1)<<len(fam[0]) - 1
+	}
+	// Expanding on the item in the fewest elements keeps the with-x branch
+	// small; an item private to one element costs a closed form.
+	freq := make(map[itemset.Item]int)
+	for _, m := range fam {
+		for _, it := range m {
+			freq[it]++
 		}
 	}
-	return total
+	x, fewest := itemset.Item(0), len(fam)+1
+	for it, n := range freq {
+		if n < fewest || (n == fewest && it < x) {
+			x, fewest = it, n
+		}
+	}
+	without := make([]itemset.Itemset, 0, len(fam))
+	var with []itemset.Itemset
+	for _, m := range fam {
+		if !m.Contains(x) {
+			without = append(without, m)
+			continue
+		}
+		rest := m.Without(x)
+		without = append(without, rest)
+		with = append(with, rest)
+	}
+	// The +1 is {x} itself, joined to the empty set.
+	return satAdd(satAdd(CountFrequent(without), CountFrequent(with)), 1)
 }
 
-func popcount(v int) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
+// satAdd adds two non-negative counts, saturating at math.MaxInt64.
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
 	}
-	return n
+	return a + b
 }
 
 // NegativeBorder computes the minimal infrequent itemsets relative to a

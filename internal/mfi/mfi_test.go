@@ -1,9 +1,11 @@
 package mfi
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pincer/internal/dataset"
 	"pincer/internal/itemset"
@@ -120,18 +122,73 @@ func TestCountFrequent(t *testing.T) {
 func TestQuickCountFrequentMatchesExpand(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(6)
-		mfs := make([]itemset.Itemset, n)
+		mfs := make([]itemset.Itemset, r.Intn(31))
 		for i := range mfs {
-			mfs[i] = randomItemsetOver(r, 10, 6)
-			if len(mfs[i]) == 0 {
-				mfs[i] = itemset.New(itemset.Item(r.Intn(10)))
-			}
+			mfs[i] = randomItemsetOver(r, 16, 10)
 		}
 		return CountFrequent(mfs) == int64(len(Expand(itemset.MaximalOnly(mfs), 0)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// More than 20 maximal sets, one of them 40 items long, must be counted
+// without enumerating the 2^40 subsets of the long one.
+func TestCountFrequentLongElementAmongMany(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	long := make([]itemset.Item, 40)
+	for i := range long {
+		long[i] = itemset.Item(i)
+	}
+	mfs := []itemset.Itemset{itemset.New(long...)}
+	for len(itemset.MaximalOnly(mfs)) < 21 {
+		m := randomItemsetOver(r, 60, 8)
+		if len(m) > 0 && int(m.Last()) >= 40 {
+			mfs = append(mfs, m)
+		}
+	}
+	start := time.Now()
+	got := CountFrequent(mfs)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("CountFrequent took %v on 21 sets with a 40-item one", took)
+	}
+	// Every set not inside the long element contains an item >= 40; count
+	// those by brute force over the short elements.
+	outside := itemset.NewSet(0)
+	for _, m := range mfs[1:] {
+		for k := 1; k <= len(m); k++ {
+			m.EachSubsetOfSize(k, func(x itemset.Itemset) {
+				if int(x.Last()) >= 40 {
+					outside.Add(x.Clone())
+				}
+			})
+		}
+	}
+	if want := int64(1)<<40 - 1 + int64(outside.Len()); got != want {
+		t.Errorf("CountFrequent = %d, want %d", got, want)
+	}
+}
+
+func TestCountFrequentSaturates(t *testing.T) {
+	set := func(n int) []itemset.Itemset {
+		items := make([]itemset.Item, n)
+		for i := range items {
+			items[i] = itemset.Item(i)
+		}
+		return []itemset.Itemset{itemset.New(items...)}
+	}
+	if got := CountFrequent(set(62)); got != 1<<62-1 {
+		t.Errorf("62 items: %d, want %d", got, int64(1<<62-1))
+	}
+	for _, n := range []int{63, 64, 100} {
+		if got := CountFrequent(set(n)); got != math.MaxInt64 {
+			t.Errorf("%d items: %d, want math.MaxInt64", n, got)
+		}
+	}
+	two := append(set(64), itemset.New(500, 501))
+	if got := CountFrequent(two); got != math.MaxInt64 {
+		t.Errorf("64 items plus a pair: %d, want math.MaxInt64", got)
 	}
 }
 
