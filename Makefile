@@ -1,8 +1,9 @@
 # CI entry points. `make ci` is what the pipeline runs. The race target
 # covers the packages with concurrency: parallel (counting workers), core
-# and apriori (the miners those workers count for), obsv (metrics
-# scraping), fpmax, dataset (scanners shared by concurrent scans), and
-# counting's counter-agreement and trie-walk tests; the
+# and apriori (the miners those workers count for), plan (every miner run
+# through the one entry point, with count distribution at three workers),
+# obsv (metrics scraping), fpmax, dataset (scanners shared by concurrent
+# scans), and counting's counter-agreement and trie-walk tests; the
 # fault-injection matrix re-runs race-clean because it interleaves kills
 # and cancellations with the parallel counting barriers.
 
@@ -28,7 +29,7 @@ test:
 # allocation tests assert tight per-candidate bounds that race-detector
 # instrumentation pushes over the line.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/apriori/... ./internal/obsv/... ./internal/fpmax/... ./internal/dataset/...
+	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/apriori/... ./internal/plan/... ./internal/obsv/... ./internal/fpmax/... ./internal/dataset/...
 	$(GO) test -race -run 'TestEngineChoiceResultInvariant|TestScanCounter|TestSharded|TestTidListCounterMatchesSupport|TestTrieWalksMatchSupport' ./internal/counting/
 
 # Kill/cancel every miner at every pass boundary and mid-scan point and
@@ -36,7 +37,8 @@ race:
 faults:
 	$(GO) test -race ./internal/faultinject/... ./internal/checkpoint/...
 
-# Every miner against the committed golden corpus (byte-identical supports).
+# Every plan of the miner table (internal/plan) against the committed golden
+# corpus (byte-identical supports).
 # Regenerate the goldens after an intentional change with:
 #   go test ./internal/mfi -run TestConformance -update
 conformance:
@@ -48,7 +50,7 @@ fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzBasketParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPincerMatchesApriori -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzEnginesAgree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parallel -run '^$$' -fuzz FuzzCountersAgree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzClusterMessage -fuzztime $(FUZZTIME)

@@ -35,22 +35,36 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 
-	"pincer/internal/ais"
-	"pincer/internal/apriori"
 	"pincer/internal/checkpoint"
-	"pincer/internal/core"
-	"pincer/internal/counting"
 	"pincer/internal/dataset"
-	"pincer/internal/fpmax"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
 	"pincer/internal/obsv"
-	"pincer/internal/parallel"
-	"pincer/internal/topdown"
-	"pincer/internal/vertical"
+	"pincer/internal/plan"
 )
+
+// algorithms maps the -algorithm names to the plan table's miners.
+var algorithms = map[string]string{
+	"pincer":   plan.Pincer,
+	"apriori":  plan.Apriori,
+	"ais":      plan.AIS,
+	"eclat":    plan.Eclat,
+	"maxeclat": plan.Vertical,
+	"topdown":  plan.Topdown,
+	"fpmax":    plan.FPMax,
+	"auto":     plan.Auto,
+}
+
+// nameOf is the -algorithm name of a miner the auto plan resolved to.
+func nameOf(miner string) string {
+	for name, m := range algorithms {
+		if m == miner {
+			return name
+		}
+	}
+	return miner
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -89,39 +103,47 @@ func run(args []string, out *os.File) error {
 	if *support <= 0 || *support > 1 {
 		return fmt.Errorf("-support must be in (0, 1], got %v", *support)
 	}
-	cancellable := *algorithm == "pincer" || *algorithm == "apriori" || *algorithm == "topdown"
-	if *timeout > 0 && !cancellable {
-		return fmt.Errorf("-timeout requires -algorithm pincer, apriori, or topdown, got %q", *algorithm)
+	miner, ok := algorithms[*algorithm]
+	if !ok {
+		return fmt.Errorf("unknown algorithm %q", *algorithm)
 	}
-	if *maxCandidates > 0 && *algorithm != "pincer" && *algorithm != "apriori" {
-		return fmt.Errorf("-max-candidates requires -algorithm pincer or apriori, got %q", *algorithm)
+	opt := plan.Options{
+		Miner:         miner,
+		Counter:       *counterName,
+		Pure:          *pure,
+		KeepFrequent:  *frequent,
+		Deadline:      *timeout,
+		MaxCandidates: *maxCandidates,
+		Resume:        *resume,
 	}
-	if *resume && *ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
+	// -workers selects count distribution: the same miner with each pass
+	// counted over that many goroutines (0 = GOMAXPROCS), or with -counter
+	// tidlist that many intersection workers.
+	if *workers >= 0 {
+		if miner == plan.Pincer {
+			opt.Miner = plan.Parallel
+		}
+		opt.Workers = *workers
+		if *workers == 0 {
+			opt.Workers = -1
+		}
 	}
-	if *ckptPath != "" && *algorithm != "pincer" && *algorithm != "apriori" {
-		return fmt.Errorf("-checkpoint requires -algorithm pincer or apriori, got %q", *algorithm)
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "engine" {
+			opt.Engine = *engineName
+		}
+	})
+	if *ckptPath != "" {
+		opt.Checkpointer = checkpoint.NewFileCheckpointer(*ckptPath)
 	}
-	engine, err := counting.ParseEngine(*engineName)
-	if err != nil {
+	if err := plan.Check(opt); err != nil {
 		return err
-	}
-	tidlist, counterRep, err := counting.ParseCounterSpec(*counterName)
-	if err != nil {
-		return err
-	}
-	if tidlist && *algorithm != "pincer" {
-		return fmt.Errorf("-counter tidlist requires -algorithm pincer, got %q", *algorithm)
 	}
 
 	// Ctrl-C cancels the mine at the next cancellation point; the partial
 	// anytime result found so far is still printed below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var ckpt checkpoint.Checkpointer
-	if *ckptPath != "" {
-		ckpt = checkpoint.NewFileCheckpointer(*ckptPath)
-	}
 
 	prof, err := obsv.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -169,153 +191,38 @@ func run(args []string, out *os.File) error {
 			d.NumItems(), comp.NumDenseItems())
 		d = comp.Dataset
 	}
-	sc := dataset.NewScanner(d)
 
 	// -algorithm auto: profile the (compacted) database and let the policy
 	// pick the plan. Every plan it can choose produces the identical MFS;
 	// the choice only moves wall-clock time.
 	algo := *algorithm
-	if algo == "auto" {
-		sel := counting.SelectEngine(d.Profile())
-		algo = sel.Algorithm
-		if algo == "vertical" {
-			algo = "maxeclat"
-		}
-		if sel.Counter == "tidlist" && !tidlist {
-			tidlist = true
-			counterRep = counting.RepAuto
-		}
-		plan := algo
+	opt.Tracer = tracer
+	if resolved, sel := plan.Resolve(opt, d.Profile); sel != nil {
+		opt = resolved
+		algo = nameOf(opt.Miner)
+		shown := algo
 		if sel.Counter != "" {
-			plan += "/" + sel.Counter
+			shown += "/" + sel.Counter
 		}
-		fmt.Fprintf(os.Stderr, "pincer: auto plan: %s — %s\n", plan, sel.Rationale)
-	}
-
-	if *workers >= 0 && *algorithm != "pincer" && *algorithm != "apriori" {
-		return fmt.Errorf("-workers requires -algorithm pincer or apriori, got %q", *algorithm)
+		fmt.Fprintf(os.Stderr, "pincer: auto plan: %s — %s\n", shown, sel.Rationale)
 	}
 
 	// A budget or cancellation surfaces as a *mfi.PartialResultError whose
 	// Result is the anytime answer; treat it as a successful (partial) run.
+	res, err := plan.Run(ctx, plan.Source{Data: d}, *support, opt)
 	var partial *mfi.PartialResultError
-	handle := func(err error) error {
-		var pe *mfi.PartialResultError
-		if errors.As(err, &pe) && pe.Result != nil {
-			partial = pe
-			return nil
-		}
-		return err
-	}
-	minCount := dataset.MinCountFor(d.Len(), *support)
-
-	var res *mfi.Result
-	switch algo {
-	case "pincer":
-		opt := core.DefaultOptions()
-		opt.Engine = engine
-		opt.Pure = *pure
-		opt.KeepFrequent = *frequent
-		opt.Tracer = tracer
-		opt.Context = ctx
-		opt.Deadline = *timeout
-		opt.MaxCandidatesPerPass = *maxCandidates
-		opt.Checkpointer = ckpt
-		// -workers selects count distribution: the same miner with each
-		// pass counted over that many goroutines (0 = GOMAXPROCS), or with
-		// -counter tidlist that many intersection workers.
-		if *workers >= 0 {
-			opt.Algorithm = "pincer-parallel"
-		}
-		switch {
-		case tidlist:
-			tw := 1
-			switch {
-			case *workers == 0:
-				tw = runtime.GOMAXPROCS(0)
-			case *workers > 0:
-				tw = *workers
-			}
-			opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: tw, Rep: counterRep})
-		case *workers >= 0:
-			opt.Counter = parallel.NewPassCounter(d, *workers)
-		}
-		if *resume {
-			res, err = core.MineResume(sc, minCount, opt)
-		} else {
-			res, err = core.MineCount(sc, minCount, opt)
-		}
-		if err = handle(err); err != nil {
-			return err
-		}
-	case "apriori":
-		opt := apriori.DefaultOptions()
-		opt.Engine = engine
-		opt.KeepFrequent = *frequent
-		opt.Tracer = tracer
-		opt.Context = ctx
-		opt.Deadline = *timeout
-		opt.MaxCandidatesPerPass = *maxCandidates
-		opt.Checkpointer = ckpt
-		if *workers >= 0 {
-			opt.Counter = parallel.NewPassCounter(d, *workers)
-		}
-		if *resume {
-			res, err = apriori.MineResume(sc, minCount, opt)
-		} else {
-			res, err = apriori.MineCount(sc, minCount, opt)
-		}
-		if err = handle(err); err != nil {
-			return err
-		}
-	case "ais":
-		opt := ais.DefaultOptions()
-		opt.KeepFrequent = *frequent
-		ares, err := ais.Mine(sc, *support, opt)
-		if err != nil {
-			return err
-		}
-		if ares.Aborted {
-			return fmt.Errorf("ais: candidate explosion; use -algorithm pincer or apriori")
-		}
-		res = &ares.Result
-	case "eclat":
-		opt := vertical.DefaultOptions()
-		opt.KeepFrequent = *frequent
-		res = vertical.Eclat(d, *support, opt)
-	case "maxeclat":
-		vres := vertical.MineMaximal(d, *support, vertical.DefaultOptions())
-		res = &vres.Result
-	case "fpmax":
-		fres := fpmax.MineMaximal(d, *support, fpmax.DefaultOptions())
-		res = &fres.Result
-	case "topdown":
-		topt := topdown.DefaultOptions()
-		topt.Tracer = tracer
-		topt.Context = ctx
-		topt.Deadline = *timeout
-		tres, err := topdown.Mine(sc, *support, topt)
-		if err = handle(err); err != nil {
-			return err
-		}
-		if tres != nil {
-			if tres.Aborted {
-				return fmt.Errorf("topdown: frontier exploded; this algorithm only suits very concentrated data")
-			}
-			res = &tres.Result
-		}
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algorithm)
-	}
-	if partial != nil {
+	switch {
+	case errors.As(err, &partial) && partial.Result != nil:
 		res = partial.Result
 		fmt.Fprintf(os.Stderr, "pincer: run stopped early (%s) at pass %d; printing the partial anytime result\n",
 			partial.Reason, partial.Pass)
-		if ckpt != nil {
-			if st, _ := ckpt.Load(); st != nil {
+		if opt.Checkpointer != nil {
+			if st, _ := opt.Checkpointer.Load(); st != nil {
 				fmt.Fprintf(os.Stderr, "pincer: checkpoint saved; rerun with -resume -checkpoint %s to continue\n", *ckptPath)
 			}
 		}
+	case err != nil:
+		return err
 	}
 	if comp != nil {
 		res.MFS = comp.OriginalAll(res.MFS)

@@ -10,13 +10,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"pincer/internal/core"
 	"pincer/internal/dataset"
 	"pincer/internal/obsv"
+	"pincer/internal/plan"
 	"pincer/internal/rules"
 )
 
@@ -60,9 +61,7 @@ func run(args []string) error {
 		return err
 	}
 	sc := dataset.NewScanner(d)
-	opt := core.DefaultOptions()
-	opt.KeepFrequent = false
-	res, err := core.Mine(sc, *support, opt)
+	res, err := plan.Run(context.Background(), plan.Source{Data: d, Scanner: sc}, *support, plan.Options{})
 	if err != nil {
 		return err
 	}

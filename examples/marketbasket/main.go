@@ -8,6 +8,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,8 +37,12 @@ func main() {
 
 	// Mine with the baseline and with Pincer-Search; both must produce the
 	// identical maximum frequent set.
-	apr := pincer.MineApriori(db, *support)
-	pin := pincer.Mine(db, *support)
+	apr, err := pincer.Mine(context.Background(), db, *support, pincer.Options{Miner: "apriori"})
+	pin, err2 := pincer.Mine(context.Background(), db, *support, pincer.Options{})
+	if err = errors.Join(err, err2); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("%-14s %8s %12s %12s %10s\n", "algorithm", "passes", "candidates", "frequent", "time")
 	fmt.Printf("%-14s %8d %12d %12d %10v\n", "apriori", apr.Stats.Passes, apr.Stats.Candidates, apr.Stats.FrequentCount, apr.Stats.Duration.Round(1e6))
 	fmt.Printf("%-14s %8d %12d %12d %10v\n", "pincer-search", pin.Stats.Passes, pin.Stats.Candidates, pin.Stats.FrequentCount, pin.Stats.Duration.Round(1e6))

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pincer"
@@ -37,7 +38,10 @@ func main() {
 
 	// Stage 1: the maximum frequent set at 25% support. Every frequent
 	// itemset is a subset of one of these maximal itemsets.
-	res := pincer.Mine(db, 0.25)
+	res, err := pincer.Mine(context.Background(), db, 0.25, pincer.Options{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("mined %d transactions in %d passes; %d maximal frequent itemsets imply %d frequent itemsets:\n",
 		db.Len(), res.Stats.Passes, len(res.MFS), pincer.CountFrequent(res))
 	for i, m := range res.MFS {

@@ -14,6 +14,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,8 +50,12 @@ func main() {
 		market.Correlation(market.SectorMembers[0][0], market.SectorMembers[0][1]),
 		market.Correlation(market.SectorMembers[0][0], market.SectorMembers[1][0]))
 
-	apr := pincer.MineApriori(market.Days, *support)
-	pin := pincer.Mine(market.Days, *support)
+	apr, err := pincer.Mine(context.Background(), market.Days, *support, pincer.Options{Miner: "apriori"})
+	pin, err2 := pincer.Mine(context.Background(), market.Days, *support, pincer.Options{})
+	if err = errors.Join(err, err2); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("%-14s %8s %12s %10s\n", "algorithm", "passes", "candidates", "time")
 	fmt.Printf("%-14s %8d %12d %10v\n", "apriori", apr.Stats.Passes, apr.Stats.Candidates, apr.Stats.Duration.Round(1e6))
 	fmt.Printf("%-14s %8d %12d %10v\n\n", "pincer-search", pin.Stats.Passes, pin.Stats.Candidates, pin.Stats.Duration.Round(1e6))

@@ -19,8 +19,8 @@ func questDB(t *testing.T) *pincer.Dataset {
 
 func TestMineContextMatchesMine(t *testing.T) {
 	d := questDB(t)
-	want := pincer.Mine(d, 0.05)
-	got, err := pincer.MineContext(context.Background(), d, 0.05)
+	want := mine(t, d, 0.05, pincer.Options{})
+	got, err := pincer.Mine(context.Background(), d, 0.05, pincer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMineContextCancelled(t *testing.T) {
 	d := questDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the run must stop at the first boundary
-	_, err := pincer.MineContext(ctx, d, 0.05)
+	_, err := pincer.Mine(ctx, d, 0.05, pincer.Options{})
 	var pe *pincer.PartialResultError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *pincer.PartialResultError", err)
@@ -52,10 +52,8 @@ func TestMinePassBudgetAndResume(t *testing.T) {
 	d := questDB(t)
 	cp := pincer.NewFileCheckpointer(filepath.Join(t.TempDir(), "mine.ckpt"))
 
-	opt := pincer.DefaultPincerOptions()
-	opt.Checkpointer = cp
-	opt.MaxTotalPasses = 2
-	_, err := pincer.MineWithOptionsContext(context.Background(), d, 0.05, opt)
+	opt := pincer.Options{Checkpointer: cp, MaxPasses: 2}
+	_, err := pincer.Mine(context.Background(), d, 0.05, opt)
 	var pe *pincer.PartialResultError
 	if !errors.As(err, &pe) {
 		t.Fatalf("budgeted run returned %v, want *pincer.PartialResultError", err)
@@ -64,12 +62,13 @@ func TestMinePassBudgetAndResume(t *testing.T) {
 		t.Fatalf("aborted with reason %q at pass %d, want %q at pass 2", pe.Reason, pe.Pass, pincer.ReasonMaxPasses)
 	}
 
-	opt.MaxTotalPasses = 0
-	got, err := pincer.MineResume(context.Background(), d, 0.05, opt)
+	opt.MaxPasses = 0
+	opt.Resume = true
+	got, err := pincer.Mine(context.Background(), d, 0.05, opt)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	want := pincer.Mine(d, 0.05)
+	want := mine(t, d, 0.05, pincer.Options{})
 	if len(got.MFS) != len(want.MFS) {
 		t.Fatalf("resumed MFS size %d, want %d", len(got.MFS), len(want.MFS))
 	}
@@ -86,10 +85,8 @@ func TestMinePassBudgetAndResume(t *testing.T) {
 
 func TestMineAprioriParallelContext(t *testing.T) {
 	d := questDB(t)
-	want := pincer.MineApriori(d, 0.05)
-	opt := pincer.DefaultAprioriOptions()
-	opt.Counter = pincer.NewParallelCounter(d, 3)
-	got, err := pincer.MineAprioriWithOptionsContext(context.Background(), d, 0.05, opt)
+	want := mine(t, d, 0.05, pincer.Options{Miner: "apriori"})
+	got, err := pincer.Mine(context.Background(), d, 0.05, pincer.Options{Miner: "apriori", Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

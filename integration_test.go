@@ -1,6 +1,7 @@
 package pincer_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -34,9 +35,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	const sup = 0.04
-	pin := pincer.Mine(db, sup)
-	apr := pincer.MineApriori(loaded, sup)
-	fileRes, err := pincer.MineFile(path, sup, pincer.DefaultPincerOptions())
+	pin := mine(t, db, sup, pincer.Options{})
+	apr := mine(t, loaded, sup, pincer.Options{Miner: "apriori", KeepFrequent: true})
+	fileRes, err := pincer.MineFile(context.Background(), path, sup, pincer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestEndToEndApplications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres := pincer.Mine(market.Days, 0.06)
+	mres := mine(t, market.Days, 0.06, pincer.Options{})
 	for s, sec := range market.SectorMembers {
 		if !mres.IsFrequent(sec) {
 			t.Errorf("sector %d not recovered as frequent", s)

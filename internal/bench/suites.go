@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,12 +16,12 @@ import (
 	"pincer/internal/core"
 	"pincer/internal/counting"
 	"pincer/internal/dataset"
-	"pincer/internal/fpmax"
 	"pincer/internal/incremental"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
 	"pincer/internal/parallel"
 	"pincer/internal/partition"
+	"pincer/internal/plan"
 	"pincer/internal/quest"
 	"pincer/internal/randmax"
 	"pincer/internal/sampling"
@@ -416,41 +417,13 @@ func engineSpecs(numTx int) []Spec {
 // beat on dense data.
 var enginePlans = []struct {
 	name string
-	sel  counting.Selection
+	opt  plan.Options
 }{
-	{"apriori", counting.Selection{Algorithm: "apriori", Engine: counting.EngineHashTree}},
-	{"pincer-scan", counting.Selection{Algorithm: "pincer", Engine: counting.EngineHashTree}},
-	{"pincer-tidlist", counting.Selection{Algorithm: "pincer", Counter: "tidlist", Engine: counting.EngineHashTree}},
-	{"vertical", counting.Selection{Algorithm: "vertical"}},
-	{"fpmax", counting.Selection{Algorithm: "fpmax"}},
-}
-
-// runPlan executes one Selection on a dataset — the same dispatch the
-// server performs for a resolved plan.
-func runPlan(d *dataset.Dataset, minsup float64, sel counting.Selection) (*mfi.Result, error) {
-	minCount := d.MinCount(minsup)
-	switch sel.Algorithm {
-	case "pincer":
-		opt := core.DefaultOptions()
-		opt.Engine = sel.Engine
-		opt.KeepFrequent = false
-		if sel.Counter == "tidlist" {
-			opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{})
-		}
-		return core.MineCount(dataset.NewScanner(d), minCount, opt)
-	case "apriori":
-		opt := apriori.DefaultOptions()
-		opt.Engine = sel.Engine
-		opt.KeepFrequent = false
-		return apriori.MineCount(dataset.NewScanner(d), minCount, opt)
-	case "vertical":
-		opt := vertical.DefaultOptions()
-		opt.KeepFrequent = false
-		return &vertical.MineMaximal(d, minsup, opt).Result, nil
-	case "fpmax":
-		return &fpmax.MineMaximalCount(d, minCount, fpmax.DefaultOptions()).Result, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", sel.Algorithm)
+	{"apriori", plan.Options{Miner: plan.Apriori}},
+	{"pincer-scan", plan.Options{Miner: plan.Pincer}},
+	{"pincer-tidlist", plan.Options{Miner: plan.Pincer, Counter: "tidlist"}},
+	{"vertical", plan.Options{Miner: plan.Vertical}},
+	{"fpmax", plan.Options{Miner: plan.FPMax}},
 }
 
 // runEngines times every fixed plan and the adaptive choice on each
@@ -464,20 +437,22 @@ func runEngines(e *env, emit func(Cell)) {
 			}
 			return
 		}
+		src := plan.Source{Data: d}
 		fixed := make([]trial, len(enginePlans))
 		for i, p := range enginePlans {
-			fixed[i] = timed(p.name, func() (*mfi.Result, error) { return runPlan(d, sup, p.sel) })
+			fixed[i] = timed(p.name, func() (*mfi.Result, error) { return plan.Run(context.Background(), src, sup, p.opt) })
 		}
-		var sel counting.Selection
+		var sel *counting.Selection
 		auto := timed("auto", func() (*mfi.Result, error) {
-			sel = counting.SelectEngine(d.Profile())
-			return runPlan(d, sup, sel)
+			var opt plan.Options
+			opt, sel = plan.Resolve(plan.Options{Miner: plan.Auto}, d.Profile)
+			return plan.Run(context.Background(), src, sup, opt)
 		})
-		plan := sel.Algorithm
+		chosen := sel.Algorithm
 		if sel.Counter != "" {
-			plan += "+" + sel.Counter
+			chosen += "+" + sel.Counter
 		}
-		auto.Detail = "chose " + plan + ": " + sel.Rationale
+		auto.Detail = "chose " + chosen + ": " + sel.Rationale
 		for i, p := range enginePlans {
 			emit(e.cell(s, sup, p.name, fixed[i], auto, false))
 		}

@@ -274,14 +274,9 @@ func (m *miner) mine(t *tree, head []int32, headSupp int64, depth int) {
 	}
 }
 
-// MineMaximal mines the maximal frequent itemsets of d at a fractional
-// minimum support. Like the vertical miner it has no cancellation points:
-// after the two database reads everything happens in memory.
-func MineMaximal(d *dataset.Dataset, minSupport float64, opt Options) *Result {
-	return MineMaximalCount(d, d.MinCount(minSupport), opt)
-}
-
-// MineMaximalCount is MineMaximal with an absolute support threshold.
+// MineMaximalCount mines the maximal frequent itemsets of d at an absolute
+// support threshold. Like the vertical miner it has no cancellation
+// points: after the two database reads everything happens in memory.
 func MineMaximalCount(d *dataset.Dataset, minCount int64, opt Options) *Result {
 	start := time.Now()
 	res := &Result{Result: mfi.Result{

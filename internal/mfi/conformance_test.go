@@ -3,10 +3,11 @@ package mfi_test
 // Cross-miner conformance corpus: four small deterministic Quest databases
 // committed under testdata/conformance/ together with golden files pinning
 // the exact maximal frequent set (with supports) and the exact complete
-// frequent set at two minimum supports each. Every miner in the repository —
-// sequential Pincer-Search (scan-counted and tid-list-counted at 1 and 4
-// workers), Apriori, the top-down miner, maximal Eclat, the FP-max
-// pattern-tree miner, and
+// frequent set at two minimum supports each. Every miner of the plan table
+// (internal/plan), run through plan.Run — sequential Pincer-Search
+// (scan-counted and tid-list-counted at 1 and 4 workers), Apriori
+// (sequential and count-distributed), the top-down miner, maximal Eclat,
+// the FP-max pattern-tree miner, AIS, full Eclat, the adaptive auto plan,
 // the count-distribution parallel Pincer-Search at 1 and 4 workers, and
 // Pincer-Search counting over a live two-worker HTTP cluster — must
 // reproduce the goldens byte for byte; the complete-frequent-set goldens are
@@ -19,6 +20,7 @@ package mfi_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -31,14 +33,11 @@ import (
 	"pincer/internal/apriori"
 	"pincer/internal/cluster"
 	"pincer/internal/core"
-	"pincer/internal/counting"
 	"pincer/internal/dataset"
-	"pincer/internal/fpmax"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
-	"pincer/internal/parallel"
+	"pincer/internal/plan"
 	"pincer/internal/quest"
-	"pincer/internal/topdown"
 	"pincer/internal/vertical"
 )
 
@@ -198,10 +197,32 @@ func readGolden(t *testing.T, path string) []byte {
 	return data
 }
 
-// mineOnCluster runs the pincer loop with counting distributed over a live
+// conformancePlans are the plans every corpus database is mined with,
+// named as the golden subtests have always been named. TestConformance
+// fails if a miner of the plan table has no plan here.
+var conformancePlans = []struct {
+	name string
+	opt  plan.Options
+}{
+	{"pincer", plan.Options{Miner: plan.Pincer}},
+	{"pincer-tidlist-w1", plan.Options{Miner: plan.Pincer, Counter: "tidlist"}},
+	{"pincer-tidlist-w4", plan.Options{Miner: plan.Parallel, Counter: "tidlist", Workers: 4}},
+	{"apriori", plan.Options{Miner: plan.Apriori}},
+	{"topdown", plan.Options{Miner: plan.Topdown}},
+	{"vertical", plan.Options{Miner: plan.Vertical}},
+	{"fpmax", plan.Options{Miner: plan.FPMax}},
+	{"parallel-w1", plan.Options{Miner: plan.Parallel, Workers: 1}},
+	{"parallel-w4", plan.Options{Miner: plan.Parallel, Workers: 4}},
+	{"apriori-parallel-w4", plan.Options{Miner: plan.Apriori, Workers: 4}},
+	{"auto", plan.Options{Miner: plan.Auto}},
+	{"ais", plan.Options{Miner: plan.AIS}},
+	{"eclat", plan.Options{Miner: plan.Eclat}},
+}
+
+// mineOnCluster runs the pincer plan with counting distributed over a live
 // coordinator/worker cluster (httptest workers, real HTTP/JSON wire): the
 // distributed merge must reproduce the goldens byte for byte.
-func mineOnCluster(t *testing.T, d *dataset.Dataset, minCount int64, workers int) (*mfi.Result, error) {
+func mineOnCluster(t *testing.T, d *dataset.Dataset, minsup float64, workers int) (*mfi.Result, error) {
 	t.Helper()
 	var addrs []string
 	var servers []*httptest.Server
@@ -228,9 +249,7 @@ func mineOnCluster(t *testing.T, d *dataset.Dataset, minCount int64, workers int
 	if err != nil {
 		return nil, err
 	}
-	opt := core.DefaultOptions()
-	opt.Counter = coord
-	res, err := core.MineCount(dataset.NewScanner(d), minCount, opt)
+	res, err := plan.Run(context.Background(), plan.Source{Data: d}, minsup, plan.Options{PassCounter: coord})
 	if err != nil {
 		return nil, err
 	}
@@ -252,8 +271,6 @@ func diffGolden(t *testing.T, label string, got, want []byte) {
 	t.Errorf("%s: output differs from golden\n--- got ---\n%s--- want ---\n%s", label, got, want)
 }
 
-// TestConformance runs every miner against every corpus database at every
-// pinned support and diffs the exact MFS + supports against the goldens.
 // CountFrequent must equal the enumerated count on every corpus MFS.
 func TestCountFrequentOnCorpus(t *testing.T) {
 	for _, e := range corpus {
@@ -270,7 +287,18 @@ func TestCountFrequentOnCorpus(t *testing.T) {
 	}
 }
 
+// TestConformance runs every plan against every corpus database at every
+// pinned support and diffs the exact MFS + supports against the goldens.
 func TestConformance(t *testing.T) {
+	planned := map[string]bool{}
+	for _, p := range conformancePlans {
+		planned[p.opt.Miner] = true
+	}
+	for _, m := range plan.Miners(false) {
+		if !planned[m] {
+			t.Errorf("the plan table's %s miner has no conformance plan", m)
+		}
+	}
 	if *update {
 		for _, e := range corpus {
 			updateCorpus(t, e)
@@ -285,72 +313,23 @@ func TestConformance(t *testing.T) {
 				t.Run(fmt.Sprintf("sup%g", minsup), func(t *testing.T) {
 					want := readGolden(t, goldenPath(e.name, minsup, "mfs"))
 					minCount := d.MinCount(minsup)
-
-					miners := []struct {
-						name string
-						run  func() (*mfi.Result, error)
-					}{
-						{"pincer", func() (*mfi.Result, error) {
-							return core.MineCount(dataset.NewScanner(d), minCount, core.DefaultOptions())
-						}},
-						{"pincer-tidlist-w1", func() (*mfi.Result, error) {
-							opt := core.DefaultOptions()
-							opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: 1})
-							return core.MineCount(dataset.NewScanner(d), minCount, opt)
-						}},
-						{"pincer-tidlist-w4", func() (*mfi.Result, error) {
-							opt := core.DefaultOptions()
-							opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: 4})
-							return core.MineCount(dataset.NewScanner(d), minCount, opt)
-						}},
-						{"apriori", func() (*mfi.Result, error) {
-							return apriori.MineCount(dataset.NewScanner(d), minCount, apriori.DefaultOptions())
-						}},
-						{"topdown", func() (*mfi.Result, error) {
-							res, err := topdown.MineCount(dataset.NewScanner(d), minCount, topdown.DefaultOptions())
+					for _, p := range conformancePlans {
+						p := p
+						t.Run(p.name, func(t *testing.T) {
+							res, err := plan.Run(context.Background(), plan.Source{Data: d}, minsup, p.opt)
 							if err != nil {
-								return nil, err
+								t.Fatalf("%s: %v", p.name, err)
 							}
-							if res.Aborted {
-								return nil, fmt.Errorf("topdown aborted: frontier exceeded %d", topdown.DefaultOptions().MaxElements)
-							}
-							return &res.Result, nil
-						}},
-						{"vertical", func() (*mfi.Result, error) {
-							return &vertical.MineMaximal(d, minsup, vertical.DefaultOptions()).Result, nil
-						}},
-						{"fpmax", func() (*mfi.Result, error) {
-							return &fpmax.MineMaximal(d, minsup, fpmax.DefaultOptions()).Result, nil
-						}},
-						{"parallel-w1", func() (*mfi.Result, error) {
-							opt := core.DefaultOptions()
-							opt.Counter = parallel.NewPassCounter(d, 1)
-							return core.MineCount(dataset.NewScanner(d), minCount, opt)
-						}},
-						{"parallel-w4", func() (*mfi.Result, error) {
-							opt := core.DefaultOptions()
-							opt.Counter = parallel.NewPassCounter(d, 4)
-							return core.MineCount(dataset.NewScanner(d), minCount, opt)
-						}},
-						{"apriori-parallel-w4", func() (*mfi.Result, error) {
-							opt := apriori.DefaultOptions()
-							opt.Counter = parallel.NewPassCounter(d, 4)
-							return apriori.MineCount(dataset.NewScanner(d), minCount, opt)
-						}},
-						{"pincer-cluster-w2", func() (*mfi.Result, error) {
-							return mineOnCluster(t, d, minCount, 2)
-						}},
-					}
-					for _, m := range miners {
-						m := m
-						t.Run(m.name, func(t *testing.T) {
-							res, err := m.run()
-							if err != nil {
-								t.Fatalf("%s: %v", m.name, err)
-							}
-							diffGolden(t, m.name, renderResultMFS(res), want)
+							diffGolden(t, p.name, renderResultMFS(res), want)
 						})
 					}
+					t.Run("pincer-cluster-w2", func(t *testing.T) {
+						res, err := mineOnCluster(t, d, minsup, 2)
+						if err != nil {
+							t.Fatalf("pincer-cluster-w2: %v", err)
+						}
+						diffGolden(t, "pincer-cluster-w2", renderResultMFS(res), want)
+					})
 
 					// The complete frequent set, pinned independently by
 					// Apriori and full Eclat.

@@ -1,43 +1,48 @@
 package server
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"pincer/internal/checkpoint"
 	"pincer/internal/cluster"
-	"pincer/internal/counting"
 	"pincer/internal/dataset"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
+	"pincer/internal/plan"
 )
 
 // Miner names accepted by JobRequest.Miner. Every miner answers the same
 // question — the maximum frequent set at a minimum support — and the
 // conformance corpus pins them to identical answers; which one is fastest
-// depends on the dataset shape, so the choice is the client's.
+// depends on the dataset shape, so the choice is the client's. What each
+// miner accepts is the plan table's (internal/plan).
 const (
-	MinerPincer   = "pincer"   // sequential adaptive Pincer-Search
-	MinerApriori  = "apriori"  // sequential Apriori baseline
-	MinerTopdown  = "topdown"  // pure top-down search (concentrated data only)
-	MinerVertical = "vertical" // depth-first maximal Eclat (no database passes)
-	MinerParallel = "parallel" // count-distribution parallel Pincer-Search
-	MinerFPMax    = "fpmax"    // FP-tree maximal miner (two passes, then in-memory)
+	MinerPincer   = plan.Pincer   // sequential adaptive Pincer-Search
+	MinerApriori  = plan.Apriori  // sequential Apriori baseline
+	MinerTopdown  = plan.Topdown  // pure top-down search (concentrated data only)
+	MinerVertical = plan.Vertical // depth-first maximal Eclat (no database passes)
+	MinerParallel = plan.Parallel // count-distribution parallel Pincer-Search
+	MinerFPMax    = plan.FPMax    // FP-tree maximal miner (two passes, then in-memory)
 	// MinerAuto delegates the whole plan — miner, counter, and counting
 	// structure — to the dataset-adaptive policy (counting.SelectEngine),
 	// resolved from the dataset's profile on the worker. The resolved plan
 	// is recorded in the result doc's "selection" field.
-	MinerAuto = "auto"
+	MinerAuto = plan.Auto
 )
 
 // EngineAuto delegates the counting-engine choice to the dataset-adaptive
 // policy. With no miner set it is equivalent to miner=auto (the whole plan
 // is delegated); with a fixed level-wise miner only the counting structure
 // (and, when unset, the counter) are selected.
-const EngineAuto = "auto"
+const EngineAuto = plan.Auto
 
 // JobRequest is the body of POST /v1/jobs. Exactly one of DatasetPath and
-// Baskets names the database.
+// Baskets names the database. miner=auto accepts every budget; the plan it
+// resolves to honours the ones that plan accepts.
 type JobRequest struct {
 	// DatasetPath is a server-side database file (basket text or the
 	// library's binary format, sniffed automatically).
@@ -50,7 +55,7 @@ type JobRequest struct {
 	// Miner selects the algorithm (Miner* constants; default pincer).
 	Miner string `json:"miner,omitempty"`
 	// Workers is the counting-goroutine count (parallel miner only;
-	// 0 = GOMAXPROCS).
+	// 0 = GOMAXPROCS, with scan and tid-list counting alike).
 	Workers int `json:"workers,omitempty"`
 	// Engine selects the support-counting structure: hashtree, list, or
 	// trie (pincer, apriori, and parallel; default hashtree).
@@ -67,9 +72,13 @@ type JobRequest struct {
 	// Requires miner=pincer with a fixed scan counter and engine.
 	Cluster bool `json:"cluster,omitempty"`
 	// DeadlineMS bounds the mining wall clock in milliseconds; expiry ends
-	// the job with its partial anytime result (0 = unlimited).
+	// the job with its partial anytime result (0 = unlimited). Every miner
+	// accepts it, but only pincer, parallel, apriori and topdown are
+	// bounded by it: vertical and fpmax have no cancellation points and
+	// run to completion.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// MaxPasses bounds the number of database passes (0 = unlimited).
+	// MaxPasses bounds the number of database passes (pincer, parallel and
+	// topdown; 0 = unlimited).
 	MaxPasses int `json:"max_passes,omitempty"`
 	// MaxCandidatesPerPass bounds any single pass's candidate set
 	// (pincer, apriori, parallel; 0 = unlimited).
@@ -80,9 +89,10 @@ type JobRequest struct {
 }
 
 // normalize fills defaults and validates the request shape (everything that
-// can be rejected before touching the dataset). Every rejection is a
-// *ValidationError carrying a machine-readable Reason* constant, so clients
-// can branch on the failing field without parsing prose.
+// can be rejected before touching the dataset) against the plan table.
+// Every rejection is a *ValidationError carrying a machine-readable Reason*
+// constant, so clients can branch on the failing field without parsing
+// prose.
 func (r *JobRequest) normalize() error {
 	if r.Miner == "" {
 		if r.Engine == EngineAuto {
@@ -92,11 +102,8 @@ func (r *JobRequest) normalize() error {
 			r.Miner = MinerPincer
 		}
 	}
-	switch r.Miner {
-	case MinerPincer, MinerApriori, MinerTopdown, MinerVertical, MinerParallel, MinerFPMax, MinerAuto:
-	default:
-		return invalidf(ReasonBadMiner,
-			"unknown miner %q (want pincer, apriori, topdown, vertical, parallel, fpmax, or auto)", r.Miner)
+	if served := plan.Miners(true); !slices.Contains(served, r.Miner) {
+		return invalidf(ReasonBadMiner, "unknown miner %q (want %s)", r.Miner, strings.Join(served, ", "))
 	}
 	if (r.DatasetPath == "") == (r.Baskets == "") {
 		return invalidf(ReasonBadDataset, "exactly one of dataset_path and baskets is required")
@@ -104,50 +111,34 @@ func (r *JobRequest) normalize() error {
 	if r.MinSupport <= 0 || r.MinSupport > 1 {
 		return invalidf(ReasonBadSupport, "min_support must be in (0, 1], got %v", r.MinSupport)
 	}
-	if r.Workers != 0 && r.Miner != MinerParallel {
-		return invalidf(ReasonBadWorkers, "workers applies to the parallel miner only, not %q", r.Miner)
-	}
 	if r.Workers < 0 {
 		return invalidf(ReasonBadWorkers, "workers must be ≥ 0, got %d", r.Workers)
 	}
-	switch {
-	case r.Engine == "":
-	case r.Engine == EngineAuto:
-		switch r.Miner {
-		case MinerAuto:
-			// miner=auto already delegates everything; canonicalize the
-			// engine away so both spellings share one cache key.
-			r.Engine = ""
-		case MinerPincer, MinerApriori, MinerParallel:
-			// Selection applies: these miners make a counting-engine choice.
-		default:
-			return invalidf(ReasonBadEngine,
-				"engine=auto does not apply to the %s miner (it makes no counting-engine choice)", r.Miner)
-		}
-	default:
-		switch r.Miner {
-		case MinerTopdown, MinerVertical, MinerFPMax:
-			return invalidf(ReasonBadEngine, "engine does not apply to the %s miner", r.Miner)
-		case MinerAuto:
-			return invalidf(ReasonBadEngine,
-				"miner=auto accepts engine \"\" or \"auto\" only: fixing the engine requires fixing the miner")
-		}
-		if _, err := counting.ParseEngine(r.Engine); err != nil {
-			return invalidf(ReasonBadEngine, "%v", err)
-		}
+	if r.Workers != 0 && r.Miner == MinerApriori {
+		return invalidf(ReasonBadWorkers, "workers applies to the parallel miner only: pincerd runs apriori sequentially")
 	}
-	if r.Counter != "" && r.Counter != "scan" {
-		switch r.Miner {
-		case MinerPincer, MinerParallel:
-		default:
-			return invalidf(ReasonBadCounter, "counter applies to the pincer and parallel miners only, not %q", r.Miner)
+	opt := r.options()
+	if opt.Deadline > 0 && !plan.Accepts(r.Miner, plan.DeadlineBound) {
+		// Accepted for every miner (load generators stamp one on every
+		// job), though it bounds only those that accept it.
+		opt.Deadline = 0
+	}
+	if err := plan.Check(opt); err != nil {
+		var pe *plan.Error
+		errors.As(err, &pe)
+		reason := map[plan.Feature]string{plan.Distribution: ReasonBadWorkers, plan.EngineChoice: ReasonBadEngine, plan.TidLists: ReasonBadCounter}[pe.Feature]
+		if pe.Feature&plan.Budgets != 0 {
+			reason = ReasonBadBudget
 		}
-		if _, _, err := counting.ParseCounterSpec(r.Counter); err != nil {
-			return invalidf(ReasonBadCounter, "%v", err)
-		}
+		return invalidf(reason, "%v", err)
+	}
+	if r.Miner == MinerAuto {
+		// miner=auto already delegates everything; canonicalize the engine
+		// away so both spellings share one cache key.
+		r.Engine = ""
 	}
 	if r.Cluster {
-		if r.Miner != MinerPincer {
+		if !plan.Accepts(r.Miner, plan.OwnCounter) {
 			return invalidf(ReasonBadCluster, "cluster applies to the pincer miner only, not %q", r.Miner)
 		}
 		if r.Counter != "" && r.Counter != "scan" {
@@ -157,46 +148,30 @@ func (r *JobRequest) normalize() error {
 			return invalidf(ReasonBadCluster, "cluster requires a fixed engine, not engine=auto")
 		}
 	}
-	if r.DeadlineMS < 0 || r.MaxPasses < 0 || r.MaxCandidatesPerPass < 0 || r.MaxMemoryBytes < 0 {
-		return invalidf(ReasonBadBudget, "budgets must be non-negative")
-	}
 	return nil
 }
 
-// counter parses the (already validated) counter spec.
-func (r *JobRequest) counter() (tidlist bool, rep counting.RepMode) {
-	tidlist, rep, _ = counting.ParseCounterSpec(r.Counter)
-	return tidlist, rep
-}
-
-// engine parses the (already validated) engine name.
-func (r *JobRequest) engine() counting.Engine {
-	if r.Engine == "" {
-		return counting.EngineHashTree
+// options maps the request onto the plan table's options; the manager
+// adds the per-job checkpointer, tracer and counter.
+func (r *JobRequest) options() plan.Options {
+	return plan.Options{
+		Miner:         r.Miner,
+		Engine:        r.Engine,
+		Counter:       r.Counter,
+		Workers:       r.Workers,
+		Deadline:      time.Duration(r.DeadlineMS) * time.Millisecond,
+		MaxPasses:     r.MaxPasses,
+		MaxCandidates: r.MaxCandidatesPerPass,
+		MaxMemory:     r.MaxMemoryBytes,
 	}
-	e, _ := counting.ParseEngine(r.Engine)
-	return e
-}
-
-// deadline returns the run deadline as a duration.
-func (r *JobRequest) deadline() time.Duration {
-	return time.Duration(r.DeadlineMS) * time.Millisecond
 }
 
 // checkpointable reports whether the miner supports pass-barrier
 // checkpoints (and therefore restart-resume and anytime status snapshots).
+// miner=auto answers true: the worker checkpoints iff the resolved miner
+// does, and clearing a checkpoint that was never written is a no-op.
 func (r *JobRequest) checkpointable() bool {
-	switch r.Miner {
-	case MinerPincer, MinerApriori, MinerParallel:
-		return true
-	case MinerAuto:
-		// The resolved plan may be checkpointable; answering true here is
-		// conservative — the worker checkpoints iff the resolved miner
-		// does, and clearing a checkpoint that was never written is a
-		// no-op (FileCheckpointer.Clear tolerates a missing file).
-		return true
-	}
-	return false
+	return plan.Accepts(r.Miner, plan.Checkpoints)
 }
 
 // Job statuses, in lifecycle order. A job is terminal in StatusDone,
@@ -301,6 +276,27 @@ func buildDoc(id string, spec JobRequest, sel *SelectionDoc, res *mfi.Result, pe
 		doc.Partial = p
 	}
 	return doc
+}
+
+// SelectionDoc records an adaptive engine-selection decision in the result
+// document: what the client delegated, the concrete plan the policy chose,
+// its one-line rationale, and the dataset profile the decision keyed on.
+// The profile is a pure function of the dataset bytes, so a job resumed
+// after a daemon restart re-derives the identical plan.
+type SelectionDoc struct {
+	// Requested names what was delegated: "miner" for miner=auto (the whole
+	// plan), "engine" for a fixed level-wise miner with engine=auto.
+	Requested string `json:"requested"`
+	// Miner, Engine, and Counter are the resolved plan, in the request
+	// vocabulary. Engine and Counter are empty where they do not apply
+	// (e.g. the vertical and fpmax miners have no counting engine).
+	Miner   string `json:"miner"`
+	Engine  string `json:"engine,omitempty"`
+	Counter string `json:"counter,omitempty"`
+	// Rationale is the policy's one-line explanation of the choice.
+	Rationale string `json:"rationale,omitempty"`
+	// Profile is the dataset profile the policy keyed on.
+	Profile dataset.Profile `json:"profile"`
 }
 
 // JobView is the body of GET /v1/jobs/{id}: the job's lifecycle state plus,

@@ -11,18 +11,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pincer/internal/apriori"
 	"pincer/internal/checkpoint"
 	"pincer/internal/cluster"
-	"pincer/internal/core"
-	"pincer/internal/counting"
 	"pincer/internal/dataset"
-	"pincer/internal/fpmax"
 	"pincer/internal/mfi"
 	"pincer/internal/obsv"
-	"pincer/internal/parallel"
-	"pincer/internal/topdown"
-	"pincer/internal/vertical"
+	"pincer/internal/plan"
 )
 
 // Submission outcomes the HTTP layer maps to status codes.
@@ -391,127 +385,62 @@ func (m *Manager) jobTracer(j *Job) (obsv.Tracer, func()) {
 	return obsv.Multi(m.tracer, obsv.NewJSONTracer(f)), func() { f.Close() }
 }
 
-// mine dispatches to the requested miner with the job's options mapped in.
+// mine runs the job's plan: the request's options, auto resolved from the
+// profile memoized with the dataset, and the job's tracer, checkpointer and
+// (for cluster jobs) coordinator.
 func (m *Manager) mine(ctx context.Context, j *Job) (*mfi.Result, error) {
-	spec := j.Spec
-	d := j.data
 	tracer, closeTrace := m.jobTracer(j)
 	defer closeTrace()
-	if sel := resolveSelection(&spec, j.prof); sel != nil {
+	opt, sel := plan.Resolve(j.Spec.options(), func() dataset.Profile { return j.prof })
+	if sel != nil {
+		doc := &SelectionDoc{Requested: "engine", Miner: opt.Miner, Engine: opt.Engine, Counter: opt.Counter,
+			Rationale: sel.Rationale, Profile: j.prof}
+		if j.Spec.Miner == MinerAuto {
+			doc.Requested = "miner"
+		}
 		j.mu.Lock()
-		j.sel = sel
+		j.sel = doc
 		j.mu.Unlock()
-		m.met.engineSelected(sel.Miner)
+		m.met.engineSelected(doc.Miner)
 		obsv.EmitSelection(tracer, obsv.SelectionEvent{
-			Algorithm:    sel.Miner,
-			Engine:       sel.Engine,
-			Counter:      sel.Counter,
-			Rationale:    sel.Rationale,
-			Transactions: sel.Profile.Transactions,
-			Universe:     sel.Profile.Universe,
-			Density:      sel.Profile.Density,
-			Skew:         sel.Profile.Skew,
+			Algorithm:    doc.Miner,
+			Engine:       doc.Engine,
+			Counter:      doc.Counter,
+			Rationale:    doc.Rationale,
+			Transactions: doc.Profile.Transactions,
+			Universe:     doc.Profile.Universe,
+			Density:      doc.Profile.Density,
+			Skew:         doc.Profile.Skew,
 		})
 		m.logf("job %s: auto plan: miner=%s engine=%s counter=%s (%s)",
-			j.ID, sel.Miner, sel.Engine, sel.Counter, sel.Rationale)
+			j.ID, doc.Miner, doc.Engine, doc.Counter, doc.Rationale)
 	}
-	minCount := dataset.MinCountFor(d.Len(), spec.MinSupport)
-	var sc dataset.Scanner = dataset.NewScanner(d)
+	opt.Tracer = tracer
+	opt.Resume = j.resume
+	opt.Checkpointer = &snapshotCheckpointer{
+		inner: checkpoint.NewFileCheckpointer(m.sp.checkpointPath(j.ID)),
+		job:   j,
+	}
+	src := plan.Source{Data: j.data, Scanner: dataset.NewScanner(j.data)}
 	if m.cfg.WrapScanner != nil {
-		sc = m.cfg.WrapScanner(j.ID, sc)
+		src.Scanner = m.cfg.WrapScanner(j.ID, src.Scanner)
 	}
-	var ckpt checkpoint.Checkpointer
-	if spec.checkpointable() {
-		ckpt = &snapshotCheckpointer{
-			inner: checkpoint.NewFileCheckpointer(m.sp.checkpointPath(j.ID)),
-			job:   j,
-		}
-	}
-	switch spec.Miner {
-	case MinerPincer, MinerParallel:
-		// The parallel miner is the pincer miner counting each pass over
-		// Workers goroutines (0 = GOMAXPROCS); tid-list counting, when
-		// asked for, takes the workers instead.
-		opt := core.DefaultOptions()
-		opt.Engine = spec.engine()
-		opt.KeepFrequent = false
-		opt.Tracer = tracer
-		opt.Context = ctx
-		opt.Deadline = spec.deadline()
-		opt.MaxTotalPasses = spec.MaxPasses
-		opt.MaxCandidatesPerPass = spec.MaxCandidatesPerPass
-		opt.MaxMemoryBytes = spec.MaxMemoryBytes
-		opt.Checkpointer = ckpt
-		if spec.Miner == MinerParallel {
-			opt.Algorithm = "pincer-parallel"
-		}
-		if tidlist, rep := spec.counter(); tidlist {
-			opt.Counter = counting.NewTidListCounter(d, counting.TidListOptions{Workers: spec.Workers, Rep: rep})
-		} else if spec.Miner == MinerParallel {
-			opt.Counter = parallel.NewPassCounter(d, spec.Workers)
-		}
-		if spec.Cluster {
-			coord, cerr := cluster.NewCoordinator(j.ID, d, m.cfg.Cluster, tracer)
-			if cerr != nil {
-				return nil, cerr
-			}
-			opt.Counter = coord
-			// Record the distribution summary however the run ends — the
-			// doc of a degraded or partial run is exactly what matters.
-			defer func() {
-				cdoc := coord.Doc()
-				j.mu.Lock()
-				j.clusterDoc = cdoc
-				j.mu.Unlock()
-			}()
-		}
-		if j.resume {
-			return core.MineResume(sc, minCount, opt)
-		}
-		return core.MineCount(sc, minCount, opt)
-	case MinerApriori:
-		opt := apriori.DefaultOptions()
-		opt.Engine = spec.engine()
-		opt.KeepFrequent = false
-		opt.Tracer = tracer
-		opt.Context = ctx
-		opt.Deadline = spec.deadline()
-		opt.MaxCandidatesPerPass = spec.MaxCandidatesPerPass
-		opt.Checkpointer = ckpt
-		if j.resume {
-			return apriori.MineResume(sc, minCount, opt)
-		}
-		return apriori.MineCount(sc, minCount, opt)
-	case MinerTopdown:
-		opt := topdown.DefaultOptions()
-		opt.Tracer = tracer
-		opt.Context = ctx
-		opt.Deadline = spec.deadline()
-		opt.MaxPasses = spec.MaxPasses
-		tres, err := topdown.MineCount(sc, minCount, opt)
+	if j.Spec.Cluster {
+		coord, err := cluster.NewCoordinator(j.ID, j.data, m.cfg.Cluster, tracer)
 		if err != nil {
 			return nil, err
 		}
-		if tres.Aborted {
-			return nil, fmt.Errorf("topdown: frontier exceeded %d elements; this miner only suits concentrated data", opt.MaxElements)
-		}
-		return &tres.Result, nil
-	case MinerVertical:
-		// The vertical miner builds its index in a single pass and performs
-		// no database scans after it, so it has no cancellation points; it
-		// is also the fastest miner on anything small enough to invert.
-		opt := vertical.DefaultOptions()
-		opt.KeepFrequent = false
-		vres := vertical.MineMaximal(d, spec.MinSupport, opt)
-		return &vres.Result, nil
-	case MinerFPMax:
-		// Like the vertical miner, FP-max reads the database exactly twice
-		// and then works purely in memory: no cancellation points and no
-		// checkpoints.
-		fres := fpmax.MineMaximalCount(d, minCount, fpmax.DefaultOptions())
-		return &fres.Result, nil
+		opt.PassCounter = coord
+		// Record the distribution summary however the run ends — the doc
+		// of a degraded or partial run is exactly what matters.
+		defer func() {
+			cdoc := coord.Doc()
+			j.mu.Lock()
+			j.clusterDoc = cdoc
+			j.mu.Unlock()
+		}()
 	}
-	return nil, fmt.Errorf("unknown miner %q", spec.Miner) // unreachable: normalize validated it
+	return plan.Run(ctx, src, j.Spec.MinSupport, opt)
 }
 
 // terminalReasons are the PartialResultError reasons that genuinely end a

@@ -340,7 +340,7 @@ const (
 	ReasonBadSupport = "bad_support" // min_support outside (0, 1]
 	ReasonBadDataset = "bad_dataset" // not exactly one of dataset_path / baskets
 	ReasonBadWorkers = "bad_workers" // negative workers, or workers on a sequential miner
-	ReasonBadBudget  = "bad_budget"  // negative deadline or resource budget
+	ReasonBadBudget  = "bad_budget"  // negative deadline or resource budget, or a budget the miner has no limit for
 	ReasonBadCluster = "bad_cluster" // cluster on an incompatible plan, or no cluster configured
 )
 
@@ -416,7 +416,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	v := j.view()
 	code := http.StatusAccepted
-	if v.Status == StatusDone { // cache hit: the answer is already here
+	if v.Cached { // cache hit: the answer is already here
 		code = http.StatusOK
 	}
 	writeJSON(w, code, v)

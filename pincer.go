@@ -15,7 +15,7 @@
 // # Quick start
 //
 //	db := pincer.GenerateQuest(pincer.QuestParams{NumTransactions: 10000})
-//	res := pincer.Mine(db, 0.05) // maximal frequent itemsets at 5% support
+//	res, err := pincer.Mine(ctx, db, 0.05, pincer.Options{}) // maximal frequent itemsets at 5% support
 //	for i, m := range res.MFS {
 //	    fmt.Println(m, res.MFSSupports[i])
 //	}
@@ -25,16 +25,13 @@ import (
 	"context"
 	"io"
 
-	"pincer/internal/apriori"
 	"pincer/internal/checkpoint"
-	"pincer/internal/core"
 	"pincer/internal/counting"
 	"pincer/internal/dataset"
-	"pincer/internal/fpmax"
 	"pincer/internal/itemset"
 	"pincer/internal/mfi"
 	"pincer/internal/minkeys"
-	"pincer/internal/parallel"
+	"pincer/internal/plan"
 	"pincer/internal/quest"
 	"pincer/internal/rules"
 )
@@ -73,77 +70,18 @@ type Stats = mfi.Stats
 // QuestParams configures the IBM Quest synthetic data generator.
 type QuestParams = quest.Params
 
-// PincerOptions configures the Pincer-Search miner.
-type PincerOptions = core.Options
-
-// AprioriOptions configures the Apriori baseline miner.
-type AprioriOptions = apriori.Options
-
 // Rule is an association rule with support, confidence, and lift.
 type Rule = rules.Rule
 
 // RuleParams are rule-quality thresholds.
 type RuleParams = rules.Params
 
-// Engine names a support-counting engine ("list", "hashtree", "trie").
-type Engine = counting.Engine
-
-// Counting engines.
-const (
-	EngineList     = counting.EngineList
-	EngineHashTree = counting.EngineHashTree
-	EngineTrie     = counting.EngineTrie
-)
-
-// PassCounter is the per-pass support-counting seam of
-// PincerOptions.Counter and AprioriOptions.Counter (nil: one sequential
-// scan per pass). Every counter produces the counts of a sequential scan,
-// so the choice moves wall-clock time, never results.
-type PassCounter = core.PassCounter
-
-// NewParallelCounter builds the count-distribution pass counter over d:
-// every pass is counted by workers goroutines (≤ 0: GOMAXPROCS), each
-// scanning its own horizontal partition into private counters summed at
-// the pass barrier. Install it on PincerOptions.Counter or
-// AprioriOptions.Counter; the dataset must be the same one handed to the
-// miner.
-func NewParallelCounter(d *Dataset, workers int) PassCounter {
-	return parallel.NewPassCounter(d, workers)
-}
-
-// TidListCounter counts candidate supports by intersecting per-item tid
-// structures instead of rescanning the database. Install one on
-// PincerOptions.Counter to switch the pincer miner to vertical counting;
-// results are identical to scanning.
-type TidListCounter = counting.TidListCounter
-
-// TidListOptions configures a TidListCounter (workers, representation).
-type TidListOptions = counting.TidListOptions
-
-// RepMode selects the tid-structure representation used by vertical
-// counting: automatic density switching, or forced bitset/list/diffset.
-type RepMode = counting.RepMode
-
-// Tid-structure representation modes.
-const (
-	RepAuto    = counting.RepAuto
-	RepBitset  = counting.RepBitset
-	RepList    = counting.RepList
-	RepDiffset = counting.RepDiffset
-)
-
-// NewTidListCounter builds a vertical pass counter over d. The dataset must
-// be the same one handed to the miner.
-func NewTidListCounter(d *Dataset, opt TidListOptions) *TidListCounter {
-	return counting.NewTidListCounter(d, opt)
-}
-
-// ParseCounterSpec parses a -counter style spec: "" or "scan" selects
-// database scanning; "tidlist" or "tidlist:bitset|list|diffset" selects
-// vertical counting with an optional forced representation.
-func ParseCounterSpec(s string) (tidlist bool, rep RepMode, err error) {
-	return counting.ParseCounterSpec(s)
-}
+// Options selects the miner and how it counts, with its budgets,
+// checkpointing and tracing; the zero value runs sequential Pincer-Search.
+// Miner is one of pincer, parallel, apriori, topdown, vertical, fpmax, ais,
+// eclat or auto (profile the dataset and let SelectEngine pick). Mine
+// refuses an option the miner would ignore.
+type Options = plan.Options
 
 // NewDataset builds a dataset from transactions (each normalized).
 func NewDataset(transactions ...Itemset) *Dataset {
@@ -159,41 +97,6 @@ func NewDataset(transactions ...Itemset) *Dataset {
 // library's binary format, sniffed automatically.
 func LoadDataset(path string) (*Dataset, error) { return dataset.Load(path) }
 
-// MineFile mines a basket file without materializing it in memory: the
-// file is re-read once per pass, exactly the I/O regime of the paper's
-// cost model. Use it for databases larger than RAM. A file that turns
-// corrupt or unreadable between passes surfaces as an error, not a panic.
-func MineFile(path string, minSupport float64, opt PincerOptions) (*Result, error) {
-	sc, err := dataset.OpenFileScanner(path)
-	if err != nil {
-		return nil, err
-	}
-	return core.Mine(sc, minSupport, opt)
-}
-
-// MineFileParallel is MineFile with streaming count distribution: the
-// mining goroutine re-reads the file each pass while workers goroutines
-// (≤ 0: GOMAXPROCS) count. Results are identical to MineFile; only
-// wall-clock time changes.
-func MineFileParallel(path string, minSupport float64, opt PincerOptions, workers int) (*Result, error) {
-	sc, err := dataset.OpenFileScanner(path)
-	if err != nil {
-		return nil, err
-	}
-	opt.Algorithm = "pincer-parallel"
-	opt.Counter = parallel.NewStreamPassCounter(sc, workers)
-	return core.Mine(sc, minSupport, opt)
-}
-
-// mustMine strips the impossible error of an in-memory mining run: memory
-// scans cannot fail, so any error here is a programmer error.
-func mustMine(res *Result, err error) *Result {
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // SaveDataset writes a dataset in the basket text format.
 func SaveDataset(path string, d *Dataset) error { return dataset.SaveBasketFile(path, d) }
 
@@ -208,107 +111,35 @@ func GenerateQuest(p QuestParams) *Dataset { return quest.Generate(p) }
 // "T20.I6.D100K" into generator parameters.
 func ParseQuestName(name string) (QuestParams, error) { return quest.ParseName(name) }
 
-// Mine discovers the maximum frequent set with Pincer-Search at a
-// fractional minimum support (0.05 = 5%).
-//
-// Deprecated: Mine cannot report errors, so it panics if mining fails. Use
-// MineContext, which also supports cancellation; Mine remains for source
-// compatibility.
-func Mine(d *Dataset, minSupport float64) *Result {
-	return MineWithOptions(d, minSupport, core.DefaultOptions())
+// Mine discovers the maximum frequent set of d at a fractional minimum
+// support (0.05 = 5%) with the miner opt names. The context is observed
+// at every pass boundary and inside scan loops; a cancelled or
+// budget-stopped run returns a *PartialResultError carrying the anytime
+// result. With opt.Resume the run continues from opt.Checkpointer's last
+// checkpoint, producing exactly the result of an uninterrupted run.
+func Mine(ctx context.Context, d *Dataset, minSupport float64, opt Options) (*Result, error) {
+	return mine(ctx, plan.Source{Data: d}, minSupport, opt)
 }
 
-// MineWithOptions is Mine with explicit Pincer-Search options.
-//
-// Deprecated: MineWithOptions cannot report errors — with cancellation,
-// budget, or checkpoint options set, a run that stops early makes it panic
-// instead of returning the partial result. Use MineWithOptionsContext.
-func MineWithOptions(d *Dataset, minSupport float64, opt PincerOptions) *Result {
-	return mustMine(core.Mine(dataset.NewScanner(d), minSupport, opt))
-}
-
-// MineContext is Mine with cancellation: the context is observed at every
-// pass boundary and inside scan loops. A cancelled or budget-stopped run
-// returns a *PartialResultError carrying the anytime result.
-func MineContext(ctx context.Context, d *Dataset, minSupport float64) (*Result, error) {
-	return MineWithOptionsContext(ctx, d, minSupport, core.DefaultOptions())
-}
-
-// MineWithOptionsContext is MineContext with explicit Pincer-Search
-// options. The context argument takes precedence over opt.Context.
-func MineWithOptionsContext(ctx context.Context, d *Dataset, minSupport float64, opt PincerOptions) (*Result, error) {
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	return core.Mine(dataset.NewScanner(d), minSupport, opt)
-}
-
-// MineResume continues a Pincer-Search run from the checkpoint recorded by
-// opt.Checkpointer (see NewFileCheckpointer); with no checkpoint on record
-// it mines from scratch. The resumed run produces exactly the result and
-// statistics of an uninterrupted one.
-func MineResume(ctx context.Context, d *Dataset, minSupport float64, opt PincerOptions) (*Result, error) {
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	sc := dataset.NewScanner(d)
-	return core.MineResume(sc, dataset.MinCountFor(sc.Len(), minSupport), opt)
-}
-
-// MineFileResume is MineResume over a basket file re-read once per pass.
-func MineFileResume(ctx context.Context, path string, minSupport float64, opt PincerOptions) (*Result, error) {
+// MineFile is Mine over a basket file that is re-read once per pass and
+// never held in memory — the I/O regime of the paper's cost model, for
+// databases larger than RAM. With Workers the mining goroutine reads the
+// file while the workers count. Miners that index the database in memory
+// (vertical, fpmax, eclat, auto) and tid-list counting need Mine. A file
+// that turns corrupt or unreadable between passes surfaces as an error.
+func MineFile(ctx context.Context, path string, minSupport float64, opt Options) (*Result, error) {
 	sc, err := dataset.OpenFileScanner(path)
 	if err != nil {
 		return nil, err
 	}
-	if ctx != nil {
-		opt.Context = ctx
+	return mine(ctx, plan.Source{Scanner: sc}, minSupport, opt)
+}
+
+func mine(ctx context.Context, src plan.Source, minSupport float64, opt Options) (*Result, error) {
+	if err := plan.Check(opt); err != nil {
+		return nil, err
 	}
-	return core.MineResume(sc, dataset.MinCountFor(sc.Len(), minSupport), opt)
-}
-
-// MineApriori discovers the complete frequent set (and its MFS) with the
-// Apriori baseline.
-//
-// Deprecated: MineApriori cannot report errors, so it panics if mining
-// fails. Use MineAprioriContext.
-func MineApriori(d *Dataset, minSupport float64) *Result {
-	return MineAprioriWithOptions(d, minSupport, apriori.DefaultOptions())
-}
-
-// MineAprioriWithOptions is MineApriori with explicit options.
-//
-// Deprecated: MineAprioriWithOptions cannot report errors — with
-// cancellation, budget, or checkpoint options set, a run that stops early
-// makes it panic instead of returning the partial result. Use
-// MineAprioriWithOptionsContext.
-func MineAprioriWithOptions(d *Dataset, minSupport float64, opt AprioriOptions) *Result {
-	return mustMine(apriori.Mine(dataset.NewScanner(d), minSupport, opt))
-}
-
-// MineAprioriContext is MineApriori with cancellation and error reporting.
-func MineAprioriContext(ctx context.Context, d *Dataset, minSupport float64) (*Result, error) {
-	return MineAprioriWithOptionsContext(ctx, d, minSupport, apriori.DefaultOptions())
-}
-
-// MineAprioriWithOptionsContext is MineAprioriContext with explicit
-// options. The context argument takes precedence over opt.Context.
-func MineAprioriWithOptionsContext(ctx context.Context, d *Dataset, minSupport float64, opt AprioriOptions) (*Result, error) {
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	return apriori.Mine(dataset.NewScanner(d), minSupport, opt)
-}
-
-// MineAprioriResume continues a checkpointed Apriori run (see
-// AprioriOptions.Checkpointer); with no checkpoint on record it mines from
-// scratch.
-func MineAprioriResume(ctx context.Context, d *Dataset, minSupport float64, opt AprioriOptions) (*Result, error) {
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	sc := dataset.NewScanner(d)
-	return apriori.MineResume(sc, dataset.MinCountFor(sc.Len(), minSupport), opt)
+	return plan.Run(ctx, src, minSupport, opt)
 }
 
 // PartialResultError is returned when a mine stops early — context
@@ -327,7 +158,7 @@ const (
 )
 
 // Checkpointer persists mining state at pass barriers so an interrupted
-// run can resume (see MineResume). Implementations must make Save atomic.
+// run can resume (see Options.Resume). Implementations must make Save atomic.
 type Checkpointer = checkpoint.Checkpointer
 
 // FileCheckpointer stores checkpoints in a single file written with the
@@ -336,18 +167,11 @@ type Checkpointer = checkpoint.Checkpointer
 type FileCheckpointer = checkpoint.FileCheckpointer
 
 // NewFileCheckpointer builds a file-backed checkpointer; assign it to
-// PincerOptions.Checkpointer (or AprioriOptions.Checkpointer) to
-// checkpoint a run, and reuse it with MineResume to continue.
+// Options.Checkpointer to checkpoint a run, and set Options.Resume to
+// continue one.
 func NewFileCheckpointer(path string) *FileCheckpointer {
 	return checkpoint.NewFileCheckpointer(path)
 }
-
-// DefaultPincerOptions returns the adaptive configuration the paper
-// evaluates.
-func DefaultPincerOptions() PincerOptions { return core.DefaultOptions() }
-
-// DefaultAprioriOptions returns the standard Apriori configuration.
-func DefaultAprioriOptions() AprioriOptions { return apriori.DefaultOptions() }
 
 // RulesFromResult generates association rules from a mining result. For a
 // Pincer-Search result it uses the paper's §2.1 scheme: the subsets of the
@@ -388,25 +212,6 @@ type Selection = counting.Selection
 // a policy miss costs speed, never correctness. See DESIGN.md §12 for the
 // policy table and its calibration.
 func SelectEngine(p Profile) Selection { return counting.SelectEngine(p) }
-
-// FPMaxOptions configures the FP-max maximal miner.
-type FPMaxOptions = fpmax.Options
-
-// FPMaxResult extends Result with FP-tree diagnostics (conditional trees
-// projected, nodes allocated).
-type FPMaxResult = fpmax.Result
-
-// DefaultFPMaxOptions returns the standard FP-max configuration.
-func DefaultFPMaxOptions() FPMaxOptions { return fpmax.DefaultOptions() }
-
-// MineFPMax discovers the maximum frequent set with the FP-max miner: an
-// FP-tree (frequency-ordered prefix tree) searched depth-first with
-// single-path collapse and subset-of-known-maximal pruning. Supports are
-// exact and the MFS is byte-identical to every other miner's; FP-max is
-// the fastest choice on dense, skewed data (see DESIGN.md §12).
-func MineFPMax(d *Dataset, minSupport float64, opt FPMaxOptions) *FPMaxResult {
-	return fpmax.MineMaximal(d, minSupport, opt)
-}
 
 // Relation is a table whose minimal keys can be discovered — the paper's
 // §1 minimal-keys application.

@@ -1,11 +1,22 @@
 package pincer_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"pincer"
 )
+
+// mine runs pincer.Mine in memory and fails the test on an error.
+func mine(t *testing.T, d *pincer.Dataset, minSupport float64, opt pincer.Options) *pincer.Result {
+	t.Helper()
+	res, err := pincer.Mine(context.Background(), d, minSupport, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func toyDataset() *pincer.Dataset {
 	return pincer.NewDataset(
@@ -19,7 +30,7 @@ func toyDataset() *pincer.Dataset {
 
 func TestFacadeMine(t *testing.T) {
 	db := toyDataset()
-	res := pincer.Mine(db, 0.4)
+	res := mine(t, db, 0.4, pincer.Options{})
 	if len(res.MFS) != 2 {
 		t.Fatalf("MFS = %v", res.MFS)
 	}
@@ -42,8 +53,8 @@ func TestFacadeMine(t *testing.T) {
 
 func TestFacadeAprioriAgrees(t *testing.T) {
 	db := toyDataset()
-	a := pincer.MineApriori(db, 0.4)
-	p := pincer.Mine(db, 0.4)
+	a := mine(t, db, 0.4, pincer.Options{Miner: "apriori", KeepFrequent: true})
+	p := mine(t, db, 0.4, pincer.Options{})
 	if len(a.MFS) != len(p.MFS) {
 		t.Fatalf("disagree: %v vs %v", a.MFS, p.MFS)
 	}
@@ -69,8 +80,8 @@ func TestFacadeQuestRoundTrip(t *testing.T) {
 	if db.Len() != 300 {
 		t.Fatalf("|D| = %d", db.Len())
 	}
-	res := pincer.MineWithOptions(db, 0.03, pincer.DefaultPincerOptions())
-	ref := pincer.MineAprioriWithOptions(db, 0.03, pincer.DefaultAprioriOptions())
+	res := mine(t, db, 0.03, pincer.Options{})
+	ref := mine(t, db, 0.03, pincer.Options{Miner: "apriori"})
 	if len(res.MFS) != len(ref.MFS) {
 		t.Fatalf("facade miners disagree: %d vs %d", len(res.MFS), len(ref.MFS))
 	}
@@ -78,7 +89,7 @@ func TestFacadeQuestRoundTrip(t *testing.T) {
 
 func TestFacadeRules(t *testing.T) {
 	db := toyDataset()
-	res := pincer.Mine(db, 0.4)
+	res := mine(t, db, 0.4, pincer.Options{})
 	rules, err := pincer.RulesFromResult(db, res, 0, pincer.RuleParams{MinConfidence: 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +137,11 @@ func TestFacadeMineFile(t *testing.T) {
 	if err := pincer.SaveDataset(path, db); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pincer.MineFile(path, 0.4, pincer.DefaultPincerOptions())
+	res, err := pincer.MineFile(context.Background(), path, 0.4, pincer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := pincer.Mine(db, 0.4)
+	mem := mine(t, db, 0.4, pincer.Options{})
 	if len(res.MFS) != len(mem.MFS) {
 		t.Fatalf("file-backed mining disagrees: %v vs %v", res.MFS, mem.MFS)
 	}
@@ -140,7 +151,7 @@ func TestFacadeMineFile(t *testing.T) {
 				res.MFS[i], res.MFSSupports[i], mem.MFS[i], mem.MFSSupports[i])
 		}
 	}
-	if _, err := pincer.MineFile(dir+"/missing", 0.4, pincer.DefaultPincerOptions()); err == nil {
+	if _, err := pincer.MineFile(context.Background(), dir+"/missing", 0.4, pincer.Options{}); err == nil {
 		t.Error("missing file accepted")
 	}
 }
