@@ -11,6 +11,12 @@
 // the old checkpoint (or none) survives intact. A checkpoint that is
 // nevertheless unreadable decodes to a *CorruptError rather than being
 // silently ignored.
+//
+// FileCheckpointer writes every barrier it is given. PacedCheckpointer,
+// which a stream's re-mines use, writes one only when DurableInterval has
+// passed since its last write and holds the newest barrier in memory until
+// then or until its Flush; core reports each barrier it offers as written
+// or deferred (Offer).
 package checkpoint
 
 import (
@@ -59,6 +65,9 @@ type State struct {
 	MinCount        int64
 	NumTransactions int64
 	NumItems        int
+	// Batch is the stream batch whose re-mine wrote the state (ForBatch);
+	// 0 for every other run, and in states that older builds wrote.
+	Batch int64
 
 	// Stage names the phase to re-enter ("pass2", "levelwise", "tail") and
 	// K/Tail position the level-wise and tail loops inside it.
@@ -123,6 +132,42 @@ func (e *MismatchError) Error() string {
 	return fmt.Sprintf("checkpoint does not match this run: %s is %s, checkpoint has %s", e.Field, e.Want, e.Got)
 }
 
+// ForBatch binds cp to the re-mine of one stream batch: Save stamps the
+// batch into the state, and Load reports a state stamped for another batch
+// as a *MismatchError. Consecutive full windows of a stream share every
+// other identity field, so without the stamp a journal replay would resume
+// the checkpoint of whichever batch's re-mine was interrupted last. An
+// unstamped state (Batch 0) still loads, so a checkpoint written by an
+// older build resumes.
+func ForBatch(cp Checkpointer, batch int64) Checkpointer {
+	return batchCheckpointer{cp: cp, batch: batch}
+}
+
+type batchCheckpointer struct {
+	cp    Checkpointer
+	batch int64
+}
+
+func (b batchCheckpointer) stamp(st *State) *State {
+	c := *st
+	c.Batch = b.batch
+	return &c
+}
+
+func (b batchCheckpointer) Save(st *State) error { return b.cp.Save(b.stamp(st)) }
+
+func (b batchCheckpointer) offer(st *State) (bool, error) { return Offer(b.cp, b.stamp(st)) }
+
+func (b batchCheckpointer) Load() (*State, error) {
+	st, err := b.cp.Load()
+	if err != nil || st == nil || st.Batch == 0 || st.Batch == b.batch {
+		return st, err
+	}
+	return nil, &MismatchError{Field: "batch", Want: fmt.Sprint(b.batch), Got: fmt.Sprint(st.Batch)}
+}
+
+func (b batchCheckpointer) Clear() error { return b.cp.Clear() }
+
 // FileCheckpointer stores the state gob-encoded in a single file, written
 // via temp-file + rename so readers never observe a partial write.
 type FileCheckpointer struct {
@@ -140,24 +185,16 @@ func (f *FileCheckpointer) Path() string { return f.path }
 
 // Save atomically replaces the checkpoint file with the encoded state.
 func (f *FileCheckpointer) Save(st *State) error {
-	dir := filepath.Dir(f.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(f.path)+".tmp*")
+	raw, err := encode(st)
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := gob.NewEncoder(tmp).Encode(st); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), f.path); err != nil {
+	return f.write(raw)
+}
+
+// write atomically replaces the checkpoint file with an encoded state.
+func (f *FileCheckpointer) write(raw []byte) error {
+	if err := WriteFile(f.path, raw); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
@@ -192,6 +229,39 @@ func (f *FileCheckpointer) Clear() error {
 	return nil
 }
 
+// WriteFile replaces path with data by the atomic protocol: the bytes go
+// to a sibling temp file, which is synced and then renamed over path, so a
+// crash mid-write leaves the previous file (or none) intact. Its errors
+// come unwrapped from package os, which names the file.
+func WriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
+// encode gob-encodes one state, as Save writes it.
+func encode(st *State) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, fmt.Errorf("checkpoint: encode: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // MemCheckpointer keeps the checkpoint in memory, gob-round-tripped on
 // every Save/Load so the stored state shares no slices or maps with the
 // live miner — the same isolation a file gives, without the disk. Used by
@@ -203,11 +273,11 @@ type MemCheckpointer struct {
 
 // Save encodes the state into the in-memory buffer.
 func (m *MemCheckpointer) Save(st *State) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	raw, err := encode(st)
+	if err != nil {
 		return err
 	}
-	m.data = buf.Bytes()
+	m.data = raw
 	m.Saves++
 	return nil
 }

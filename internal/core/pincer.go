@@ -865,21 +865,22 @@ func (m *miner) upperBound() []itemset.Itemset {
 	return itemset.MaximalOnly(sets)
 }
 
-// checkpointNow persists the miner's state through the configured
-// Checkpointer (a no-op without one). A failed write aborts the run: a
-// caller that asked for durability should not silently lose it.
+// checkpointNow offers the miner's state to the configured Checkpointer (a
+// no-op without one), which writes it or, if it paces its writes, may hold
+// it. A failed write aborts the run: a caller that asked for durability
+// should not silently lose it.
 func (m *miner) checkpointNow() {
 	if m.cp == nil {
 		return
 	}
 	start := time.Now()
-	st := m.snapshot()
-	if err := m.cp.Save(st); err != nil {
+	written, err := checkpoint.Offer(m.cp, m.snapshot())
+	if err != nil {
 		panic(&mfi.Abort{Reason: mfi.ReasonCheckpoint, Cause: err})
 	}
 	obsv.EmitCheckpoint(m.tracer, obsv.CheckpointEvent{
 		Algorithm: m.res.Stats.Algorithm, Pass: m.res.Stats.Passes,
-		Stage: m.stage.stageName(), Duration: time.Since(start),
+		Stage: m.stage.stageName(), Deferred: !written, Duration: time.Since(start),
 	})
 }
 

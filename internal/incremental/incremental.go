@@ -92,7 +92,9 @@ type Options struct {
 	Context context.Context
 	// MineCheckpointer, when set, persists re-mine pass-barrier state: a
 	// maintainer restarted on the same checkpointer resumes an interrupted
-	// re-mine at the barrier instead of pass 1.
+	// re-mine at the barrier instead of pass 1. A checkpoint resumes only
+	// the re-mine of the batch that wrote it (checkpoint.ForBatch); any
+	// other batch's re-mine clears it and mines from pass 1.
 	MineCheckpointer checkpoint.Checkpointer
 	// WrapScanner wraps every scan-counting dataset scanner — the
 	// fault-injection seam; nil in production.
@@ -426,16 +428,18 @@ func (m *Maintainer) remine(d *Delta, window []dataset.Transaction, numItems int
 }
 
 // mineDataset runs the configured miner over d. With a checkpointer it
-// resumes from any recorded barrier; a checkpoint that turns out corrupt or
-// recorded for a different run is cleared and the mine restarts fresh
-// rather than failing the stream.
+// resumes from any barrier recorded for batch seq; a checkpoint that turns
+// out corrupt or recorded for a different run or batch is cleared and the
+// mine restarts fresh rather than failing the stream.
 func (m *Maintainer) mineDataset(seq int64, d *dataset.Dataset, minCount int64, seeds []itemset.Itemset, seedSupports []int64) (*mfi.Result, error) {
 	run := func(resume bool) (*mfi.Result, error) {
 		copt := core.DefaultOptions()
 		copt.KeepFrequent = false
 		copt.Tracer = m.opt.Tracer
 		copt.Context = m.opt.Context
-		copt.Checkpointer = m.opt.MineCheckpointer
+		if m.opt.MineCheckpointer != nil {
+			copt.Checkpointer = checkpoint.ForBatch(m.opt.MineCheckpointer, seq)
+		}
 		copt.SeedMFS = seeds
 		copt.SeedSupports = seedSupports
 		// Counting strategy: an injected counter (a distributed re-mine fans

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"pincer/internal/checkpoint"
@@ -372,6 +373,58 @@ func TestMaintainerRemineFaultResume(t *testing.T) {
 	// Success must clear the checkpoint so the next re-mine starts fresh.
 	if st := must(opt.MineCheckpointer.Load()); st != nil {
 		t.Fatal("successful mine left its checkpoint behind")
+	}
+}
+
+// TestJournalReplayIgnoresOtherBatchCheckpoint replays a whole journal over
+// the checkpoint an interrupted later re-mine left behind. Consecutive full
+// windows (window = batch = 50 transactions) share every identity field a
+// checkpoint carries except the batch, so replayed batch 1 must not resume
+// batch 24's barrier: every replayed batch must still equal a from-scratch
+// mine of its window.
+func TestJournalReplayIgnoresOtherBatchCheckpoint(t *testing.T) {
+	const batch, batches = 50, 24
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			d := quest.Generate(quest.Params{NumTransactions: batch * batches, AvgTxLen: 8,
+				AvgPatternLen: 4, NumPatterns: 20, NumItems: 60, Seed: seed})
+			txs := d.Transactions()
+			path := filepath.Join(t.TempDir(), "mine.ckpt")
+
+			// Generation 1: batch 24's re-mine is killed at its second scan.
+			armed := false
+			m := must(New(Options{
+				MinSupport: 0.15, Window: batch,
+				MineCheckpointer: checkpoint.NewFileCheckpointer(path),
+				WrapScanner: func(sc dataset.Scanner) dataset.Scanner {
+					if !armed {
+						return sc
+					}
+					return &faultinject.Scanner{Scanner: sc, TripAtScan: 2}
+				},
+			}))
+			for b := 0; b < batches; b++ {
+				armed = b == batches-1
+				_, err := m.Append(txs[b*batch : (b+1)*batch])
+				if armed && err == nil {
+					t.Fatalf("batch %d did not re-mine, so nothing was killed", b+1)
+				}
+				if !armed && err != nil {
+					t.Fatalf("batch %d: %v", b+1, err)
+				}
+			}
+			if st := must(checkpoint.NewFileCheckpointer(path).Load()); st == nil {
+				t.Fatal("the killed re-mine left no checkpoint")
+			}
+
+			// Generation 2 replays the journal from batch 1 on the same file.
+			m = must(New(Options{MinSupport: 0.15, Window: batch,
+				MineCheckpointer: checkpoint.NewFileCheckpointer(path)}))
+			for b := 0; b < batches; b++ {
+				must(m.Append(txs[b*batch : (b+1)*batch]))
+				checkAgainstReference(t, m, fmt.Sprintf("replayed batch %d", b+1))
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -171,5 +172,28 @@ func TestOpenLoopRun(t *testing.T) {
 	}
 	if rep.Jobs.Lost != 0 {
 		t.Errorf("lost %d jobs: %v", rep.Jobs.Lost, rep.Jobs.LostIDs)
+	}
+}
+
+// TestReportMachineContext pins the machine context a load report records,
+// under the JSON names the bench harness's reports use.
+func TestReportMachineContext(t *testing.T) {
+	raw, err := json.Marshal((&runner{rec: newRecorder()}).buildReport(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]interface{}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]interface{}{
+		"go_version": runtime.Version(),
+		"cpus":       float64(runtime.NumCPU()),
+		"gomaxprocs": float64(runtime.GOMAXPROCS(0)),
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("report %s = %v, want %v", k, got[k], v)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -11,8 +12,13 @@ import (
 // Report is one load run's result document — the shape cmd/pincerload
 // writes to BENCH_serve_load.json.
 type Report struct {
-	Target          string  `json:"target"`
-	Mode            string  `json:"mode"` // "closed" or "open"
+	Target string `json:"target"`
+	Mode   string `json:"mode"` // "closed" or "open"
+	// GoVersion, CPUs and GoMaxProcs record the machine the load ran from,
+	// under the names every bench harness report uses.
+	GoVersion       string  `json:"go_version"`
+	CPUs            int     `json:"cpus"`
+	GoMaxProcs      int     `json:"gomaxprocs"`
 	DurationSeconds float64 `json:"duration_seconds"`
 	Concurrency     int     `json:"concurrency,omitempty"`
 	RateHz          float64 `json:"rate_hz,omitempty"`
@@ -82,6 +88,9 @@ func (r *runner) buildReport(elapsed time.Duration) *Report {
 	rep := &Report{
 		Target:          r.cfg.BaseURL,
 		Mode:            "closed",
+		GoVersion:       runtime.Version(),
+		CPUs:            runtime.NumCPU(),
+		GoMaxProcs:      runtime.GOMAXPROCS(0),
 		DurationSeconds: elapsed.Seconds(),
 		Concurrency:     r.cfg.Concurrency,
 		Cells:           len(r.cfg.Cells),

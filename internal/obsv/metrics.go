@@ -260,8 +260,8 @@ func NewMetricsTracer(reg *Registry) *MetricsTracer {
 		lastMFSSize:    reg.Gauge("pincer_last_run_mfs_size", "|MFS| of the most recently finished run."),
 
 		cancellations:      reg.Counter("pincer_mine_cancellations_total", "Mining runs ended early by cancellation or a resource budget."),
-		checkpointsWritten: reg.Counter("pincer_checkpoints_written_total", "Pass-barrier checkpoints persisted."),
-		lastCheckpointPass: reg.Gauge("pincer_last_checkpoint_pass", "Pass number of the most recently written checkpoint."),
+		checkpointsWritten: reg.Counter("pincer_checkpoints_written_total", "Pass-barrier checkpoints written durably."),
+		lastCheckpointPass: reg.Gauge("pincer_last_checkpoint_pass", "Pass number of the most recent checkpoint written durably."),
 	}
 }
 
@@ -292,8 +292,12 @@ func (t *MetricsTracer) RunDone(sum RunSummary) {
 	}
 }
 
-// CheckpointDone implements CheckpointTracer.
+// CheckpointDone implements CheckpointTracer. A deferred checkpoint did
+// not reach disk, so it moves neither metric.
 func (t *MetricsTracer) CheckpointDone(ev CheckpointEvent) {
+	if ev.Deferred {
+		return
+	}
 	t.checkpointsWritten.Inc()
 	t.lastCheckpointPass.Set(int64(ev.Pass))
 }

@@ -94,13 +94,17 @@ type RunSummary struct {
 	AbortReason string `json:"abort_reason,omitempty"`
 }
 
-// CheckpointEvent records one persisted pass-barrier checkpoint.
+// CheckpointEvent records one pass-barrier checkpoint handed to the run's
+// Checkpointer.
 type CheckpointEvent struct {
 	Algorithm string `json:"algorithm"`
 	// Pass is the number of completed passes captured by the checkpoint.
 	Pass int `json:"pass"`
 	// Stage is the phase the checkpoint re-enters on resume.
 	Stage string `json:"stage"`
+	// Deferred marks a checkpoint that a pacing Checkpointer encoded but
+	// held in memory instead of writing durably.
+	Deferred bool `json:"deferred,omitempty"`
 	// Duration is the wall clock spent encoding and persisting the state.
 	Duration time.Duration `json:"duration_ns"`
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"pincer/internal/checkpoint"
 	"pincer/internal/dataset"
 )
 
@@ -62,25 +63,10 @@ func (s spool) writeAtomic(path string, v interface{}) error {
 	return s.writeAtomicBytes(path, data)
 }
 
-// writeAtomicBytes persists raw bytes via temp-file + rename.
+// writeAtomicBytes persists raw bytes via temp-file + rename, the
+// checkpoint package's protocol.
 func (s spool) writeAtomicBytes(path string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("server: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("server: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := checkpoint.WriteFile(path, data); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
 	return nil

@@ -15,18 +15,30 @@ package server
 //	<id>.stream             the opening spec
 //	<id>.b<seq>.batch       one journal entry per batch, written BEFORE apply
 //	<id>.state              the maintainer snapshot, written AFTER apply
-//	<id>.mine.ckpt          the re-mine pass-barrier checkpoint
+//	<id>.mine.ckpt          the re-mine pass-barrier checkpoint, paced
 //	<id>.stream.trace.jsonl stream + mining trace events (append-only)
+//
+// The journal entry and the state snapshot are written and fsynced on
+// every batch. The re-mine checkpoint is not: a re-mine offers a barrier at
+// every pass, but the stream's checkpoint.PacedCheckpointer writes one only
+// when the re-mine's last durable write, or its start, is at least
+// checkpoint.DurableInterval (1 s) old, so a batch whose re-mine finishes
+// inside the interval makes no checkpoint write at all. When an apply
+// fails (cancel, DELETE, abort, a killed re-mine), the held barrier is
+// flushed before the stream is marked interrupted, so the restart resumes
+// the re-mine where it stopped. Only a process death loses re-mine work,
+// at most one interval plus one pass; it loses no acknowledged batch.
 //
 // Because the batch journal is written before the maintainer moves and the
 // state snapshot after, a daemon killed anywhere in between restarts into a
 // consistent position: the snapshot restores the last committed state
 // without counting anything, journaled batches past it replay through the
 // normal Append path (resuming an interrupted re-mine at its pass-barrier
-// checkpoint), and a batch is never folded in twice because its seq is
-// already part of the snapshot. A POST whose apply fails mid-flight leaves
-// the journal entry behind and marks the stream interrupted — further
-// appends get 503 until a restart replays the journal.
+// checkpoint, which only the batch that wrote it may resume), and a batch
+// is never folded in twice because its seq is already part of the
+// snapshot. A POST whose apply fails mid-flight leaves the journal entry
+// behind and marks the stream interrupted — further appends get 503 until
+// a restart replays the journal.
 
 import (
 	"bytes"
@@ -221,6 +233,7 @@ type Stream struct {
 
 	mu          sync.Mutex
 	mt          *incremental.Maintainer
+	ckpt        *checkpoint.PacedCheckpointer // the maintainer's re-mine checkpointer
 	lastDelta   *StreamDeltaDoc
 	interrupted bool
 	errMsg      string
@@ -416,11 +429,12 @@ func (m *Manager) nextStreamID() string {
 
 // newStream wires a maintainer to the daemon's seams: the shared metrics
 // tracer plus a per-stream JSONL trace, a per-stream child of the base
-// context, the re-mine checkpoint file, and the fault-injection scanner
-// hook.
+// context, the paced re-mine checkpoint file, and the fault-injection
+// scanner hook.
 func (m *Manager) newStream(id string, spec StreamRequest, resumed bool) (*Stream, error) {
 	ctx, cancel := context.WithCancel(m.baseCtx)
-	st := &Stream{ID: id, Spec: spec, created: time.Now(), resumed: resumed, tracer: m.tracer, cancel: cancel}
+	st := &Stream{ID: id, Spec: spec, created: time.Now(), resumed: resumed, tracer: m.tracer, cancel: cancel,
+		ckpt: checkpoint.NewPacedCheckpointer(m.sp.streamCheckpointPath(id))}
 	if f, err := os.OpenFile(m.sp.streamTracePath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
 		st.trace = f
 		st.tracer = obsv.Multi(m.tracer, obsv.NewJSONTracer(f))
@@ -434,7 +448,7 @@ func (m *Manager) newStream(id string, spec StreamRequest, resumed bool) (*Strea
 		Workers:          spec.Workers,
 		Tracer:           st.tracer,
 		Context:          ctx,
-		MineCheckpointer: checkpoint.NewFileCheckpointer(m.sp.streamCheckpointPath(id)),
+		MineCheckpointer: st.ckpt,
 	}
 	if m.cfg.WrapScanner != nil {
 		opt.WrapScanner = func(sc dataset.Scanner) dataset.Scanner {
@@ -609,6 +623,10 @@ func (m *Manager) AppendBatch(st *Stream, req BatchRequest) (*StreamDeltaDoc, er
 	if err != nil {
 		// The journal entry stays: the restart replay applies exactly this
 		// batch once, resuming any interrupted re-mine at its checkpoint.
+		// The flush runs under st.mu, which DeleteStream takes before it
+		// removes the stream's files, so a batch in flight when its stream
+		// is deleted writes its checkpoint before the files go.
+		m.flushRemine(st)
 		st.interrupted = true
 		st.errMsg = err.Error()
 		m.met.streamsInterrupted.Inc()
@@ -635,6 +653,16 @@ func (m *Manager) AppendBatch(st *Stream, req BatchRequest) (*StreamDeltaDoc, er
 	m.logf("stream %s: batch %d applied (+%d/-%d tx, %s, %d mfs)",
 		st.ID, seq, delta.Appended, delta.Evicted, delta.Reason, len(st.mt.MFS()))
 	return doc, nil
+}
+
+// flushRemine writes the held barrier of a re-mine that just failed, so the
+// restart resumes it instead of mining from pass 1. Caller holds st.mu or
+// is the single-threaded recovery path. A failed write is logged: it costs
+// the restart only re-mining work.
+func (m *Manager) flushRemine(st *Stream) {
+	if err := st.ckpt.Flush(); err != nil {
+		m.logf("stream %s: flush re-mine checkpoint: %v", st.ID, err)
+	}
 }
 
 // saveStreamState persists the maintainer snapshot (caller holds st.mu). A
@@ -718,6 +746,7 @@ func (m *Manager) recoverStreams() error {
 			}
 			delta, aerr := st.mt.Append(txs)
 			if aerr != nil {
+				m.flushRemine(st)
 				st.interrupted = true
 				st.errMsg = fmt.Sprintf("replay batch %d: %v", b.Seq, aerr)
 				break

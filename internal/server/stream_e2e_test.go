@@ -8,6 +8,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -364,4 +365,57 @@ func TestE2EStreamKillRestartReplay(t *testing.T) {
 		}
 	}
 	checkStreamMFS(t, hs2.URL, a.ID, streamRef(t, batch1+batch1, testMinSupport))
+}
+
+// TestE2EStreamRemineDefersCheckpoints: a stream's re-mines offer pass
+// barriers, but a re-mine that finishes inside checkpoint.DurableInterval
+// writes none of them durably — pincer_checkpoints_written_total stays 0
+// while the stream's trace records every barrier as deferred — and a
+// successful re-mine leaves no checkpoint file behind.
+func TestE2EStreamRemineDefersCheckpoints(t *testing.T) {
+	srv, hs := newTestServer(t, nil)
+	id := openStream(t, hs.URL, server.StreamRequest{MinSupport: testMinSupport}).ID
+	lines := strings.SplitAfter(strings.TrimSuffix(testBaskets, "\n"), "\n")
+	for i, b := range []string{strings.Join(lines[:9], ""), strings.Join(lines[9:], "")} {
+		if code, doc := postBatch(t, hs.URL, id, server.BatchRequest{Baskets: b}); code != http.StatusOK {
+			t.Fatalf("batch %d: status %d, delta %+v", i+1, code, doc)
+		}
+	}
+	snap := srv.Registry().Snapshot()
+	if snap["pincer_stream_remines_total"] < 1 {
+		t.Fatal("no batch re-mined, so no barrier was offered")
+	}
+	if n := snap["pincer_checkpoints_written_total"]; n != 0 {
+		t.Fatalf("pincer_checkpoints_written_total = %d after re-mines inside the interval, want 0", n)
+	}
+	dir := srv.Manager().SpoolDir()
+	raw, err := os.ReadFile(filepath.Join(dir, id+".stream.trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var ev struct {
+			Type       string `json:"type"`
+			Checkpoint *struct {
+				Deferred bool `json:"deferred"`
+			} `json:"checkpoint"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if ev.Type != "checkpoint" {
+			continue
+		}
+		if !ev.Checkpoint.Deferred {
+			t.Fatalf("trace records a durable re-mine checkpoint: %s", line)
+		}
+		deferred++
+	}
+	if deferred == 0 {
+		t.Fatal("the stream trace records no deferred checkpoint")
+	}
+	if _, err := os.Stat(filepath.Join(dir, id+".mine.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("a successful re-mine left its checkpoint: stat err %v", err)
+	}
 }
